@@ -32,7 +32,7 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the engine suites: the backend and core
-# packages (worker teams, batch barriers, carry stitching) plus the
+# packages (worker teams, batch barriers, the carry exchange) plus the
 # server's stateful-plan traffic (concurrent update/query/run/evict)
 # re-run under the race detector with fresh scheduling (-count=2) — a
 # small size matrix lives in the tests themselves (worker counts 1..8

@@ -388,7 +388,6 @@ func main() {
 
 		run("sorted", "generic", func() { _, err := core.Sorted(genericAdd, values, labels, sz.m, cfg); check(err) })
 		run("sorted", "fast", func() { _, err := core.Sorted(core.AddInt64, values, labels, sz.m, cfg); check(err) })
-		run("sorted", "pooled", func() { _, err := b.Sorted(core.AddInt64, values, labels, sz.m, cfg); check(err) })
 
 		run("spinetree", "generic", func() { _, err := core.Spinetree(genericAdd, values, labels, sz.m, cfg); check(err) })
 		run("spinetree", "fast", func() { _, err := core.Spinetree(core.AddInt64, values, labels, sz.m, cfg); check(err) })

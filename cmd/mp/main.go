@@ -320,7 +320,6 @@ func printCalibration() {
 	}
 	fmt.Fprintf(w, "tile_bytes %d\n", core.AutoTileBytes(multiprefix.Config{}))
 	fmt.Fprintf(w, "serial_max %d\n", cal.SerialMax)
-	fmt.Fprintf(w, "sorted_min_m %d\n", cal.SortedMinM)
 	for _, shape := range []struct{ n, m int }{
 		{1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12}, {1 << 20, 1 << 16},
 	} {

@@ -2,26 +2,25 @@ package backend
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"multiprefix/internal/core"
-	"multiprefix/internal/par"
 )
 
 // This file is batched Plan execution: evaluating k value vectors
 // against one planned label structure in a single call. Every backend
-// supports it — the default is the per-vector loop over Run/Reduce
-// with a copy into the caller's destination — and the serial, sorted,
-// chunked and vector plans run fused implementations that write each
-// vector's results directly into the caller's storage (no copy) and,
-// for the team-parallel plans, drive the worker team once for the
-// whole batch instead of once or twice per vector.
+// supports it — the default is the per-vector loop over run/reduce
+// with a copy into the caller's destination — and the serial,
+// sort-scan, chunked and vector plans run fused implementations that
+// write each vector's results directly into the caller's storage (no
+// copy) and, for the team-parallel plans, drive the worker team once
+// for the whole batch instead of once per vector.
 //
-// The fused team bodies synchronize with exactly two inner-barrier
-// arrivals per vector. That count is deterministic, so a worker that
-// aborts (recovered panic, cancellation) drains its remaining arrivals
-// with par.Barrier.DrainAwait instead of Drop — siblings stay aligned
-// and the team survives for the next call.
+// The fused team bodies synchronize with a fixed number of
+// inner-barrier arrivals per vector (two for chunked, 2+⌈log₂S⌉ for
+// sort-scan). That count is deterministic, so a worker that aborts
+// (recovered panic, cancellation) drains its remaining arrivals with
+// par.Barrier.DrainAwait instead of Drop — siblings stay aligned and
+// the team survives for the next call.
 
 // RunBatch evaluates each srcs[k] (length n) against the planned label
 // structure, writing its per-element multiprefix into dsts[k] (length
@@ -67,7 +66,7 @@ func (p *Plan[T]) ReduceBatchCall(c Call, dsts, srcs [][]T) error {
 }
 
 // batch is the locked batch body shared by the multi and reduce
-// forms: validation, dispatch, and the degraded-auto serial retry.
+// forms: validation, then dispatch.
 func (p *Plan[T]) batch(dsts, srcs [][]T, withMulti bool) error {
 	dstLen := p.m
 	if withMulti {
@@ -76,14 +75,7 @@ func (p *Plan[T]) batch(dsts, srcs [][]T, withMulti bool) error {
 	if err := p.checkBatch(dsts, srcs, dstLen); err != nil {
 		return err
 	}
-	err := p.runBatch(dsts, srcs, withMulti)
-	if err == nil {
-		return nil
-	}
-	if p.fallback && p.exec != planSerial && !terminalErr(err) {
-		return p.serialBatch(dsts, srcs, withMulti)
-	}
-	return err
+	return p.runBatch(dsts, srcs, withMulti)
 }
 
 //mp:locked
@@ -105,8 +97,8 @@ func (p *Plan[T]) checkBatch(dsts, srcs [][]T, dstLen int) error {
 	return nil
 }
 
-// runBatch dispatches one validated batch to the plan's execution
-// strategy.
+// runBatch dispatches one validated batch to the plan's executor,
+// degrading a failed auto plan to the serial pass.
 //
 //mp:locked
 //mp:polls
@@ -114,289 +106,12 @@ func (p *Plan[T]) runBatch(dsts, srcs [][]T, withMulti bool) error {
 	if len(srcs) == 0 {
 		return nil
 	}
-	switch p.exec {
-	case planSerial:
-		return p.serialBatch(dsts, srcs, withMulti)
-	case planSorted:
-		if p.team == nil {
-			return p.sortedSerialBatch(dsts, srcs, withMulti)
-		}
-		return p.teamBatch(p.sortedBatchBody, dsts, srcs, withMulti)
-	case planSharded:
-		p.shMeasured = 0
-		if p.team == nil {
-			return p.sortedSerialBatch(dsts, srcs, withMulti)
-		}
-		return p.teamBatch(p.shBatchBody, dsts, srcs, withMulti)
-	case planChunked:
-		return p.teamBatch(p.chunkBatchBody, dsts, srcs, withMulti)
-	case planVector:
-		if withMulti {
-			return p.vrunBatch(dsts, srcs)
-		}
-		return p.vreduceBatch(dsts, srcs)
-	default:
-		// planBuffers, planPram: per-vector evaluation plus a copy into
-		// the caller's storage. run/reduce carry their own fallback.
-		for k := range srcs {
-			if withMulti {
-				res, err := p.run(srcs[k])
-				if err != nil {
-					return err
-				}
-				copy(dsts[k], res.Multi)
-			} else {
-				red, err := p.reduce(srcs[k])
-				if err != nil {
-					return err
-				}
-				copy(dsts[k], red)
-			}
-		}
+	err := p.exec.batch(dsts, srcs, withMulti)
+	if err == nil {
 		return nil
 	}
-}
-
-// serialBatch is the fused serial batch: the planned one-pass bucket
-// algorithm per vector, writing prefixes (or reductions) directly into
-// the caller's destinations. Also the batch fallback for degraded auto
-// plans, which lazily allocates the reduction scratch a buffers- or
-// vector-backed plan doesn't otherwise carry.
-//
-//mp:locked
-func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
-	defer recoverPlanPanic("plan/serial", &err)
-	if withMulti && len(p.red) != p.m {
-		p.red = make([]T, p.m)
+	if s := p.degrade(err); s != nil {
+		return s.batch(dsts, srcs, withMulti)
 	}
-	ctx := p.cfg.Ctx
-	for k := range srcs {
-		var multi, red []T
-		if withMulti {
-			multi, red = dsts[k], p.red
-		} else {
-			red = dsts[k]
-		}
-		core.FillIdentity(p.op, red)
-		if ctx == nil {
-			core.BucketRange(p.op, p.op.Fast, "serial", srcs[k], p.labels, multi, red, 0, p.n, nil)
-			continue
-		}
-		for lo := 0; lo < p.n || lo == 0; lo += core.CancelStride {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := min(lo+core.CancelStride, p.n)
-			core.BucketRange(p.op, p.op.Fast, "serial", srcs[k], p.labels, multi, red, lo, hi, nil)
-			if hi == p.n {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// sortedSerialBatch is the fused single-worker sorted batch: one fused
-// segmented scan per vector over the plan-time permutation.
-//
-//mp:locked
-func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
-	defer recoverPlanPanic("plan/sorted", &err)
-	fast := p.op.FastKind(p.cfg.FaultHook)
-	var stop func() bool
-	if p.cfg.Ctx != nil {
-		p.guard.reset()
-		stop = p.sortedStop
-	}
-	for k := range srcs {
-		// Poll between vectors as well: a short vector never exhausts
-		// the in-scan stride credit, so without this check a cancelled
-		// batch of small vectors would run to completion.
-		if stop != nil && stop() {
-			return p.guard.first()
-		}
-		var multi, red []T
-		if withMulti {
-			multi, red = dsts[k], p.red
-		} else {
-			red = dsts[k]
-		}
-		var ok bool
-		if p.tiledRun(fast) {
-			ok = core.SortedTiledScanLabels(p.op, fast, srcs[k], p.sperm, p.sstart, multi, red, &p.tiles[0], stop)
-		} else {
-			ok = core.SortedScanLabels(p.op, fast, srcs[k], p.sperm, p.sstart, multi, red, 0, p.m, p.cfg.FaultHook, stop)
-		}
-		if !ok {
-			return p.guard.first()
-		}
-	}
-	return nil
-}
-
-// teamBatch drives one team round for the whole batch.
-//
-//mp:locked
-func (p *Plan[T]) teamBatch(body func(w int, bar *par.Barrier), dsts, srcs [][]T, withMulti bool) error {
-	p.batchDsts, p.batchSrcs = dsts, srcs
-	p.runMulti = withMulti
-	p.fast = p.op.FastKind(p.cfg.FaultHook)
-	p.guard.reset()
-	defer func() { p.batchDsts, p.batchSrcs = nil, nil }()
-	p.team.Run(body)
-	if err := p.guard.first(); err != nil {
-		return err
-	}
-	return ctxDone(p.cfg)
-}
-
-// mergeInto is the chunked engine's pass 3 (exclusive scan across
-// chunks per label) into an arbitrary reduction target, leaving each
-// chunk's bucket slot holding its offset.
-//
-//mp:locked
-func (p *Plan[T]) mergeInto(red []T) {
-	hook := p.cfg.FaultHook
-	core.FillIdentity(p.op, red)
-	for w := 0; w < p.workers; w++ {
-		bw := p.buckets[w]
-		for _, l := range p.touched[w] {
-			offset := red[l]
-			if hook != nil {
-				hook.Combine(core.PhaseChunkMerge, l)
-			}
-			red[l] = p.op.Combine(red[l], bw[l])
-			bw[l] = offset
-		}
-	}
-}
-
-// chunkBatch is the fused chunked batch body: for each vector, the
-// local bucket pass, a barrier, the merge on worker 0, a barrier, and
-// the offset apply — two arrivals per vector, no gate round between
-// vectors. No barrier is needed between one vector's apply and the
-// next vector's local pass: apply only reads this worker's own offset
-// buckets and writes its own range of the previous destination, while
-// the next local pass resets only this worker's own buckets.
-//
-//mp:locked
-func (p *Plan[T]) chunkBatch(w int, inner *par.Barrier) {
-	total := 2 * len(p.batchSrcs)
-	done := 0
-	phase := core.PhaseChunkLocal
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/chunked", Phase: phase,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-		inner.DrainAwait(total - done)
-	}()
-	buckets := p.buckets[w]
-	lo, hi := par.Range(p.n, p.workers, w)
-	for k := range p.batchSrcs {
-		values := p.batchSrcs[k]
-		var multi, red []T
-		if p.runMulti {
-			multi, red = p.batchDsts[k], p.red
-		} else {
-			red = p.batchDsts[k]
-		}
-		phase = core.PhaseChunkLocal
-		if !p.guard.interrupted(p.cfg.Ctx) {
-			for _, l := range p.touched[w] {
-				buckets[l] = p.op.Identity
-			}
-			for seg := lo; seg < hi; seg += core.CancelStride {
-				if p.guard.interrupted(p.cfg.Ctx) {
-					break
-				}
-				end := min(seg+core.CancelStride, hi)
-				core.BucketRange(p.op, p.fast, core.PhaseChunkLocal, values, p.labels, multi, buckets, seg, end, p.cfg.FaultHook)
-			}
-		}
-		inner.Await()
-		done++
-		if w == 0 {
-			phase = core.PhaseChunkMerge
-			if !p.guard.interrupted(p.cfg.Ctx) {
-				p.mergeInto(red)
-			}
-		}
-		inner.Await()
-		done++
-		if p.runMulti && w > 0 && !p.guard.interrupted(p.cfg.Ctx) {
-			phase = core.PhaseChunkApply
-			for seg := lo; seg < hi; seg += core.CancelStride {
-				if p.guard.interrupted(p.cfg.Ctx) {
-					break
-				}
-				end := min(seg+core.CancelStride, hi)
-				core.ApplyRange(p.op, p.fast, p.labels, buckets, multi, seg, end, p.cfg.FaultHook)
-			}
-		}
-	}
-}
-
-// sortedBatch is the fused sorted batch body: for each vector, the
-// shard scan, a barrier, the carry stitch on worker 0, a barrier, and
-// the carry-in rescan of leading partial runs — two arrivals per
-// vector. The needs-apply flag is written by worker 0 between the two
-// barriers and read by the others after the second, so the barrier
-// orders the handoff; the next vector's shard scan starts only after
-// this worker's rescan, so the w-indexed carry slots are never written
-// while another shard still reads its own.
-//
-//mp:locked
-func (p *Plan[T]) sortedBatch(w int, inner *par.Barrier) {
-	total := 2 * len(p.batchSrcs)
-	done := 0
-	phase := core.PhaseSortedScan
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/sorted", Phase: phase,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-		inner.DrainAwait(total - done)
-	}()
-	sh := p.shards[w]
-	for k := range p.batchSrcs {
-		values := p.batchSrcs[k]
-		var multi, red []T
-		if p.runMulti {
-			multi, red = p.batchDsts[k], p.red
-		} else {
-			red = p.batchDsts[k]
-		}
-		phase = core.PhaseSortedScan
-		if !p.guard.interrupted(p.cfg.Ctx) {
-			if p.tiledRun(p.fast) {
-				core.SortedTiledShardScan(p.op, p.fast, values, p.sperm, p.sstart, multi, red,
-					&p.tiles[w], sh, w, p.leadTotal, p.carryOut, p.leadClosed, p.hasTrail,
-					p.sortedStop)
-			} else {
-				core.SortedShardScan(p.op, p.fast, values, p.sperm, p.sstart, multi, red,
-					sh, w, p.leadTotal, p.carryOut, p.leadClosed, p.hasTrail,
-					p.cfg.FaultHook, p.sortedStop)
-			}
-		}
-		inner.Await()
-		done++
-		if w == 0 {
-			phase = core.PhaseSortedStitch
-			if !p.guard.interrupted(p.cfg.Ctx) {
-				p.batchNeedApply = core.SortedStitch(p.op, p.shards, p.leadTotal, p.carryOut, p.carryIn, p.leadClosed, p.hasTrail, red, p.cfg.FaultHook)
-			}
-		}
-		inner.Await()
-		done++
-		if p.runMulti && p.batchNeedApply && !p.guard.interrupted(p.cfg.Ctx) {
-			phase = core.PhaseSortedApply
-			core.SortedLeadApply(p.op, p.fast, values, p.sperm, p.sstart, multi,
-				sh, w, p.carryIn, p.cfg.FaultHook, p.sortedStop)
-		}
-	}
+	return err
 }

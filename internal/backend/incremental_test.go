@@ -73,12 +73,25 @@ func checkIncParity[T comparable](t *testing.T, name string, p *Plan[T], op core
 // TestIncrementalUpdateParity drives a random update/query stream
 // through every registered backend's plan and checks each answer
 // against a full serial recompute. int64 sum is exact under any
-// association, so every backend must agree bit for bit.
+// association, so every backend must agree bit for bit. The two extra
+// multi-shard sort-scan plans pin the index rule deterministically
+// (independent of GOMAXPROCS): their permutation is sorted per shard,
+// so the Fenwick tier must build its own global sort, not alias it.
 func TestIncrementalUpdateParity(t *testing.T) {
 	const n, m = 96, 7
 	values, labels, _ := refInput(7, n, m)
+	type planCase struct {
+		name string
+		cfg  core.Config
+	}
+	var cases []planCase
 	for _, name := range Names() {
-		p := incPlan(t, name, core.AddInt64, labels, m, backendCfg(name))
+		cases = append(cases, planCase{name, backendCfg(name)})
+	}
+	cases = append(cases, planCase{"sorted", core.Config{Workers: 2}}, planCase{"sharded", core.Config{Shards: 3}})
+	for _, tc := range cases {
+		name := tc.name
+		p := incPlan(t, name, core.AddInt64, labels, m, tc.cfg)
 		if err := p.Bind(values); err != nil {
 			t.Fatalf("%s: Bind: %v", name, err)
 		}

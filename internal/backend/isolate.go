@@ -59,12 +59,8 @@ func (p *Plan[T]) each(calls []Call, dsts, srcs [][]T, withMulti bool) []error {
 			c = calls[k]
 		}
 		old := p.override(c)
-		err := p.runBatch(d[:], s[:], withMulti)
-		if err != nil && p.fallback && p.exec != planSerial && !terminalErr(err) {
-			err = p.serialBatch(d[:], s[:], withMulti)
-		}
+		errs[k] = p.runBatch(d[:], s[:], withMulti)
 		p.cfg = old
-		errs[k] = err
 	}
 	return errs
 }

@@ -16,43 +16,21 @@ import (
 	"multiprefix/internal/vector"
 )
 
-// planKind is how a Plan executes its runs.
-type planKind uint8
-
-const (
-	// planSerial: the one-pass bucket algorithm over plan-owned
-	// storage, in CancelStride segments when a context is set.
-	planSerial planKind = iota
-	// planSorted: the sorted segmented-scan engine with the counting-
-	// sort permutation, per-label run bounds and (for multiple
-	// workers) the shard decomposition all built at plan time; runs
-	// are a fused scan over contiguous runs, parallelized with
-	// Blelloch-style carry propagation across shard boundaries.
-	planSorted
-	// planChunked: the chunked decomposition with the chunk
-	// partitions, per-chunk touched-label lists and worker team all
-	// built at plan time.
-	planChunked
-	// planBuffers: spinetree or parallel, delegated to a plan-owned
-	// pooled core.Buffers (the arena is rebuilt per run — those
-	// engines' spine structure depends on the row-length choice the
-	// arena makes — but all storage and the worker team persist).
-	planBuffers
-	// planVector: a vecmp.Plan whose spinetree was built once (the
-	// paper's §5.2.1 setup/evaluation split) and is evaluated against
-	// each value vector.
-	planVector
-	// planPram: per-run simulated PRAM execution. The simulator
-	// allocates its machine per run; Plan here only amortizes
-	// validation.
-	planPram
-	// planSharded: the scale-out decomposition — S contiguous element
-	// ranges each counting-sorted at plan time, scanned reduce-only per
-	// shard, carries combined in ⌈log₂S⌉ exclusive-prefix exchange
-	// rounds, then a seeded per-shard rescan for the prefixes (see
-	// sharded.go).
-	planSharded
-)
+// executor is one engine kind's planned execution: the structures the
+// engine built at plan time plus its evaluation bodies. There is one
+// implementation per engine kind — serial, sort-scan (sortscan.go),
+// chunked (chunked.go), buffers (spinetree and parallel), vector and
+// pram. Every method runs under the Plan's lock with inputs already
+// validated; run and reduce results alias executor-owned storage.
+type executor[T any] interface {
+	run(values []T) (core.Result[T], error)
+	reduce(values []T) ([]T, error)
+	// batch evaluates a non-empty batch into the caller's destinations:
+	// prefixes when withMulti, reductions otherwise.
+	batch(dsts, srcs [][]T, withMulti bool) error
+	// close releases the executor's worker team, if any.
+	close()
+}
 
 // Plan is a prepared multiprefix pipeline over one fixed label
 // vector: labels are validated and their structure (class count,
@@ -89,7 +67,6 @@ type Plan[T any] struct {
 	mu sync.Mutex
 
 	backend  string
-	exec     planKind
 	fallback bool // auto: degrade to the serial pass on internal failure
 	op       core.Op[T]
 	// cfg is swapped by per-call overrides and restored on return.
@@ -99,83 +76,14 @@ type Plan[T any] struct {
 	classes int
 	labels  []int
 
-	// serial / chunked result storage, overwritten by every evaluation
+	// exec runs every evaluation; serial is the auto fallback's
+	// degradation target, built at the first failure (exec itself on a
+	// serial plan).
+	exec executor[T]
 	//mp:guarded-by mu
-	multi []T
-	//mp:guarded-by mu
-	red []T
-
-	// chunked state, mirroring core's pooled chunkRunner with the
-	// first-touch discovery hoisted to plan time
-	workers int
-	buckets [][]T
-	touched [][]int
-	team    *par.Team
-	guard   planGuard
-	fast    core.FastOp
-	//mp:guarded-by mu
-	runMulti bool // current run wants Multi (read by worker bodies)
-	//mp:guarded-by mu
-	values    []T // current run's values (read by worker bodies)
-	localBody func(w int, bar *par.Barrier)
-	applyBody func(w int, bar *par.Barrier)
-
-	// sorted state: the plan-time counting-sort permutation and run
-	// bounds, plus the shard decomposition and carry slots of the
-	// parallel variant (w-indexed so the monomorphic kernels write
-	// them without boxing)
-	sperm, sstart        []int32
-	shards               []core.SortedShard
-	leadTotal, carryOut  []T
-	carryIn              []T
-	leadClosed, hasTrail []bool
-	sortedStop           func() bool // prebound guard poll for worker bodies
-	sortedBody           func(w int, bar *par.Barrier)
-	sortedApplyBody      func(w int, bar *par.Barrier)
-	// tiles is the plan-time cache-tiling of the sorted scan: one entry
-	// for the serial variant, one per shard for the parallel one. Nil
-	// when tiling doesn't apply (generic element type, non-fast op, or
-	// n within one tile window); runs with a FaultHook skip it at
-	// dispatch since fast demotes to FastNone.
-	tiles []core.TileSegs
-
-	// sharded state (see sharded.go): S contiguous element ranges, each
-	// with its own counting-sort row over the shared full-length sperm;
-	// the flat S×m ping-pong carry buffers of the exclusive-prefix
-	// exchange; and the consistent-hash placement ring assigning each
-	// label's reduction write to exactly one owning shard
-	shardsN     int       // shard count S (== p.workers for the team)
-	shLo, shHi  []int     // element range per shard
-	shStart     [][]int32 // per-shard run-bound rows, each len m+1
-	shCarryA    []T       // flat S×m totals / exchange buffer (pass-1 target)
-	shCarryB    []T       // flat S×m exchange ping-pong partner
-	shRounds    int       // ⌈log₂S⌉
-	shRing      *hashRing // label → owning shard
-	shOwned     [][]int32 // ring-owned labels per shard
-	shBody      func(w int, bar *par.Barrier)
-	shBatchBody func(w int, bar *par.Barrier)
-	// shMeasured counts the exchange rounds the last evaluation actually
-	// executed (the simnet round assertion's ground truth).
-	//mp:guarded-by mu
-	shMeasured int // written by worker 0 between barriers
-
-	// batched execution state (read by the batch team bodies)
-	//mp:guarded-by mu
-	batchDsts, batchSrcs [][]T
-	//mp:guarded-by mu
-	batchNeedApply  bool // written by worker 0 between barriers
-	chunkBatchBody  func(w int, bar *par.Barrier)
-	sortedBatchBody func(w int, bar *par.Barrier)
-
-	// spinetree / parallel delegate state
-	buf     *core.Buffers[T]
-	bufKind kind
-
-	// vector state: monomorphic closures bound to a vecmp.Plan
-	vrun         func(values []T) (core.Result[T], error)
-	vreduce      func(values []T) ([]T, error)
-	vrunBatch    func(dsts, srcs [][]T) error
-	vreduceBatch func(dsts, srcs [][]T) error
+	serial *serialExec[T]
+	// guard is the shared failure state of one team run.
+	guard planGuard
 
 	// incremental (stateful) extension — see incremental.go. Built
 	// lazily at the first Bind; serialized by mu like every evaluation.
@@ -192,9 +100,9 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	imode incMode // maintenance tier (operator + element type)
 	//mp:guarded-by mu
-	iperm []int32 // counting-sort permutation (aliases sperm on sorted plans)
+	iperm []int32 // counting-sort permutation (aliases a one-shard sort-scan plan's)
 	//mp:guarded-by mu
-	istart []int32 // per-label run bounds, len m+1 (aliases sstart)
+	istart []int32 // per-label run bounds, len m+1 (aliased likewise)
 	//mp:guarded-by mu
 	ipos []int32 // inverse permutation: sorted position of element i
 	//mp:guarded-by mu
@@ -219,9 +127,9 @@ type Plan[T any] struct {
 	closed bool
 }
 
-// planGuard is the shared failure state of one planned chunked run
-// (the chunked engine's guard): first panic or cancellation recorded,
-// every worker drains at its next stride boundary.
+// planGuard is the shared failure state of one planned team run: first
+// panic or cancellation recorded, every worker drains at its next
+// stride boundary.
 type planGuard struct {
 	stop atomic.Bool
 	mu   sync.Mutex
@@ -263,6 +171,54 @@ func (g *planGuard) interrupted(ctx context.Context) bool {
 	return false
 }
 
+// teamState is the worker team of a team-parallel executor (chunked,
+// sort-scan; nil for a single shard) plus the per-call hand-off its
+// bodies read: set by the calling goroutine before team.Run, cleared
+// after.
+type teamState[T any] struct {
+	team *par.Team
+	//mp:guarded-by mu
+	fast core.FastOp
+	//mp:guarded-by mu
+	runMulti bool
+	//mp:guarded-by mu
+	batchDsts, batchSrcs [][]T
+	// oneDst and oneSrc carry a single Run through the batch path.
+	//mp:guarded-by mu
+	oneDst, oneSrc [1][]T
+}
+
+// startTeam builds the persistent team. A plan dropped without Close
+// must not leak the team's parked goroutines.
+func (t *teamState[T]) startTeam(p *Plan[T], workers int) {
+	team := par.NewTeam(workers)
+	t.team = team
+	runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, team)
+}
+
+func (t *teamState[T]) close() {
+	if t.team != nil {
+		t.team.Close()
+		t.team = nil
+	}
+}
+
+// runBatch drives one team round of body for the whole batch.
+//
+//mp:locked
+func (t *teamState[T]) runBatch(p *Plan[T], body func(w int, bar *par.Barrier), dsts, srcs [][]T, withMulti bool) error {
+	t.batchDsts, t.batchSrcs = dsts, srcs
+	t.runMulti = withMulti
+	t.fast = p.op.FastKind(p.cfg.FaultHook)
+	p.guard.reset()
+	defer func() { t.batchDsts, t.batchSrcs = nil, nil }()
+	t.team.Run(body)
+	if err := p.guard.first(); err != nil {
+		return err
+	}
+	return ctxDone(p.cfg)
+}
+
 // Plan builds a reusable pipeline for this backend over the given
 // labels. The label vector is copied; later mutation of the caller's
 // slice does not affect the plan.
@@ -292,160 +248,120 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 			k = kindChunked
 		case "parallel":
 			k = kindParallel
-		case "sorted":
-			k = kindSorted
-		case "sharded":
-			k = kindSharded
 		default:
 			k = kindSerial
 		}
 	}
-	// The simulated machines assume at least one element; an empty
-	// plan degenerates to the (trivially equivalent) serial pass after
-	// their capability checks.
-	switch k {
-	case kindVector:
-		if err := p.prepareVector(); err != nil {
-			return nil, err
-		}
-		if p.n == 0 {
-			k = kindSerial
-		}
-	case kindPram:
-		if err := pramCheck(b.name, op); err != nil {
-			return nil, err
-		}
-		if p.n == 0 {
-			k = kindSerial
-		}
+	exec, err := p.newExecutor(k)
+	if err != nil {
+		return nil, err
 	}
-	switch k {
-	case kindSerial:
-		p.exec = planSerial
-		p.multi = make([]T, p.n)
-		p.red = make([]T, m)
-	case kindSorted:
-		if err := p.prepareSorted(); err != nil {
-			return nil, err
-		}
-	case kindSharded:
-		if err := p.prepareSharded(); err != nil {
-			return nil, err
-		}
-	case kindChunked:
-		p.exec = planChunked
-		p.multi = make([]T, p.n)
-		p.red = make([]T, m)
-		p.prepareChunks()
-	case kindSpinetree, kindParallel:
-		p.exec = planBuffers
-		p.bufKind = k
-		p.buf = new(core.Buffers[T])
-	case kindVector:
-		p.exec = planVector
-	case kindPram:
-		p.exec = planPram
-	}
+	p.exec = exec
 	return p, nil
 }
 
-// prepareChunks precomputes the chunked decomposition: the worker
-// count and partition bounds the one-shot engine would use, each
-// chunk's touched-label list (first-touch order, normally discovered
-// per run with O(m) seen bookkeeping), per-chunk bucket storage, and
-// the persistent worker team with prebound bodies.
+// newExecutor builds the executor of engine kind k. The simulated
+// machines assume at least one element; an empty plan degenerates to
+// the (trivially equivalent) serial pass after their capability
+// checks.
 //
 //mp:locked
-func (p *Plan[T]) prepareChunks() {
-	p.workers = core.ChunkWorkers(p.cfg.Workers, p.n)
-	p.buckets = make([][]T, p.workers)
-	p.touched = make([][]int, p.workers)
-	seen := make([]bool, p.m)
-	for w := 0; w < p.workers; w++ {
-		lo, hi := par.Range(p.n, p.workers, w)
-		var order []int
-		for i := lo; i < hi; i++ {
-			if l := p.labels[i]; !seen[l] {
-				seen[l] = true
-				order = append(order, l)
-			}
+func (p *Plan[T]) newExecutor(k kind) (executor[T], error) {
+	switch k {
+	case kindSorted:
+		return newSortExec(p, "plan/sorted")
+	case kindSharded:
+		return newSortExec(p, "plan/sharded")
+	case kindChunked:
+		return newChunkExec(p), nil
+	case kindSpinetree, kindParallel:
+		return &bufExec[T]{p: p, buf: new(core.Buffers[T]), spinetree: k == kindSpinetree}, nil
+	case kindVector:
+		e, err := newVecExec(p)
+		if err != nil || p.n > 0 {
+			return e, err
 		}
-		for _, l := range order {
-			seen[l] = false
+	case kindPram:
+		if err := pramCheck(p.backend, p.op); err != nil {
+			return nil, err
 		}
-		p.buckets[w] = make([]T, p.m)
-		p.touched[w] = order
+		if p.n > 0 {
+			return pramExec[T]{p}, nil
+		}
 	}
-	p.localBody = p.chunkLocal
-	p.applyBody = p.chunkApply
-	p.chunkBatchBody = p.chunkBatch
-	t := par.NewTeam(p.workers)
-	p.team = t
-	// A plan dropped without Close must not leak the team's parked
-	// goroutines.
-	runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, t)
+	return newSerialExec(p), nil
 }
 
-// prepareVector builds the vecmp.Plan — the one backend with true
+// newVecExec builds the vecmp.Plan — the one backend with true
 // spine-structure reuse: the spinetree depends only on the labels, so
 // it is built once here and every Run pays only the evaluation
 // phases.
-func (p *Plan[T]) prepareVector() error {
-	switch any(p.multi).(type) {
+func newVecExec[T any](p *Plan[T]) (executor[T], error) {
+	var probe []T
+	switch any(probe).(type) {
 	case []int64:
-		return bindVecPlan[int64](p)
+		return bindVecExec[int64](p)
 	case []float64:
-		return bindVecPlan[float64](p)
+		return bindVecExec[float64](p)
 	case []int32:
-		return bindVecPlan[int32](p)
+		return bindVecExec[int32](p)
 	}
-	return errElemType[T](p.backend)
+	return nil, errElemType[T](p.backend)
 }
 
-// bindVecPlan builds the vecmp.Plan at the machine element type E
-// (== T) and binds the monomorphic evaluation closures.
+// vecExec evaluates a vecmp.Plan at the machine element type E (== T).
+type vecExec[E vector.Elem, T any] struct {
+	vp         *vecmp.Plan[E]
+	multi, red []E
+}
+
+// bindVecExec builds the vecmp.Plan at the machine element type E.
 //
 //mp:locked
-func bindVecPlan[E vector.Elem, T any](p *Plan[T]) error {
+func bindVecExec[E vector.Elem, T any](p *Plan[T]) (executor[T], error) {
 	eop, ok := any(p.op).(core.Op[E])
 	if !ok {
-		return errElemType[T](p.backend)
+		return nil, errElemType[T](p.backend)
 	}
 	l32, err := labels32(p.labels, p.m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if p.n == 0 {
-		return nil // degenerates to the serial pass
+		return nil, nil // degenerates to the serial pass
 	}
 	vp, err := vecmp.NewPlan(vector.NewDefault(), eop, l32, p.m, vcfg(p.cfg))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	multi := make([]E, p.n)
-	red := make([]E, p.m)
-	p.vrun = func(values []T) (core.Result[T], error) {
-		if err := vp.MultiprefixInto(any(values).([]E), multi, red); err != nil {
-			return core.Result[T]{}, err
-		}
-		return core.Result[T]{Multi: any(multi).([]T), Reductions: any(red).([]T)}, nil
-	}
-	p.vreduce = func(values []T) ([]T, error) {
-		if err := vp.ReduceInto(any(values).([]E), red); err != nil {
-			return nil, err
-		}
-		return any(red).([]T), nil
-	}
-	// T == E concretely, so [][]T's dynamic type is [][]E: the batch
-	// slices pass through by assertion, no per-vector conversion.
-	p.vrunBatch = func(dsts, srcs [][]T) error {
-		return vp.MultiprefixBatch(any(dsts).([][]E), any(srcs).([][]E), red)
-	}
-	p.vreduceBatch = func(dsts, srcs [][]T) error {
-		return vp.ReduceBatch(any(dsts).([][]E), any(srcs).([][]E))
-	}
-	return nil
+	return &vecExec[E, T]{vp: vp, multi: make([]E, p.n), red: make([]E, p.m)}, nil
 }
+
+func (e *vecExec[E, T]) run(values []T) (core.Result[T], error) {
+	if err := e.vp.MultiprefixInto(any(values).([]E), e.multi, e.red); err != nil {
+		return core.Result[T]{}, err
+	}
+	return core.Result[T]{Multi: any(e.multi).([]T), Reductions: any(e.red).([]T)}, nil
+}
+
+func (e *vecExec[E, T]) reduce(values []T) ([]T, error) {
+	if err := e.vp.ReduceInto(any(values).([]E), e.red); err != nil {
+		return nil, err
+	}
+	return any(e.red).([]T), nil
+}
+
+// batch passes the batch slices through by assertion: T == E
+// concretely, so [][]T's dynamic type is [][]E — no per-vector
+// conversion.
+func (e *vecExec[E, T]) batch(dsts, srcs [][]T, withMulti bool) error {
+	if withMulti {
+		return e.vp.MultiprefixBatch(any(dsts).([][]E), any(srcs).([][]E), e.red)
+	}
+	return e.vp.ReduceBatch(any(dsts).([][]E), any(srcs).([][]E))
+}
+
+func (e *vecExec[E, T]) close() {}
 
 // Backend reports the registry name the plan was opened under.
 func (p *Plan[T]) Backend() string { return p.backend }
@@ -471,10 +387,7 @@ func (p *Plan[T]) Close() {
 		return
 	}
 	p.closed = true
-	if p.team != nil {
-		p.team.Close()
-		p.team = nil
-	}
+	p.exec.close()
 }
 
 //mp:locked
@@ -568,37 +481,12 @@ func (p *Plan[T]) run(values []T) (core.Result[T], error) {
 	if err := p.checkRun(values); err != nil {
 		return core.Result[T]{}, err
 	}
-	var res core.Result[T]
-	var err error
-	switch p.exec {
-	case planSerial:
-		err = p.runSerial(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
-	case planSorted:
-		err = p.runSorted(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
-	case planSharded:
-		err = p.runSharded(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
-	case planChunked:
-		err = p.runChunked(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
-	case planBuffers:
-		if p.bufKind == kindSpinetree {
-			res, err = p.buf.Spinetree(p.op, values, p.labels, p.m, p.cfg)
-		} else {
-			res, err = p.buf.Parallel(p.op, values, p.labels, p.m, p.cfg)
-		}
-	case planVector:
-		res, err = p.vrun(values)
-	case planPram:
-		res, err = p.runPram(values, true)
-	}
+	res, err := p.exec.run(values)
 	if err == nil {
 		return res, nil
 	}
-	if p.fallback && p.exec != planSerial && !terminalErr(err) {
-		return p.fallbackSerial(values, true)
+	if s := p.degrade(err); s != nil {
+		return s.run(values)
 	}
 	return core.Result[T]{}, err
 }
@@ -631,71 +519,33 @@ func (p *Plan[T]) reduce(values []T) ([]T, error) {
 	if err := p.checkRun(values); err != nil {
 		return nil, err
 	}
-	var red []T
-	var err error
-	switch p.exec {
-	case planSerial:
-		if err = p.runSerial(values, false); err == nil {
-			red = p.red
-		}
-	case planSorted:
-		if err = p.runSorted(values, false); err == nil {
-			red = p.red
-		}
-	case planSharded:
-		if err = p.runSharded(values, false); err == nil {
-			red = p.red
-		}
-	case planChunked:
-		if err = p.runChunked(values, false); err == nil {
-			red = p.red
-		}
-	case planBuffers:
-		if p.bufKind == kindSpinetree {
-			red, err = p.buf.SpinetreeReduce(p.op, values, p.labels, p.m, p.cfg)
-		} else {
-			red, err = p.buf.ParallelReduce(p.op, values, p.labels, p.m, p.cfg)
-		}
-	case planVector:
-		red, err = p.vreduce(values)
-	case planPram:
-		var res core.Result[T]
-		if res, err = p.runPram(values, false); err == nil {
-			red = res.Reductions
-		}
-	}
+	red, err := p.exec.reduce(values)
 	if err == nil {
 		return red, nil
 	}
-	if p.fallback && p.exec != planSerial && !terminalErr(err) {
-		res, ferr := p.fallbackSerial(values, false)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return res.Reductions, nil
+	if s := p.degrade(err); s != nil {
+		return s.reduce(values)
 	}
 	return nil, err
 }
 
-// fallbackSerial degrades a failed parallel run to the planned serial
-// pass over p.multi/p.red (allocated lazily: the auto-parallel plan
-// normally keeps its storage in p.buf). Like the one-shot Fallback,
-// the retry is hook-free.
+// degrade returns the serial executor a failed auto-plan evaluation
+// retries on, or nil when the error must pass through: the plan is not
+// auto, already serial, or the error is terminal. Like the one-shot
+// Fallback, the retry is hook-free.
 //
 //mp:locked
-func (p *Plan[T]) fallbackSerial(values []T, withMulti bool) (core.Result[T], error) {
-	if len(p.multi) != p.n || len(p.red) != p.m {
-		p.multi = make([]T, p.n)
-		p.red = make([]T, p.m)
+func (p *Plan[T]) degrade(err error) *serialExec[T] {
+	if !p.fallback || terminalErr(err) {
+		return nil
 	}
-	if err := p.runSerial(values, withMulti); err != nil {
-		return core.Result[T]{}, err
+	if _, ok := p.exec.(*serialExec[T]); ok {
+		return nil
 	}
-	res := core.Result[T]{Reductions: p.red}
-	if withMulti {
-		res.Multi = p.multi
+	if p.serial == nil {
+		p.serial = newSerialExec(p)
 	}
-	return res, nil
+	return p.serial
 }
 
 // recoverPlanPanic converts a panic on the calling goroutine into the
@@ -706,23 +556,69 @@ func recoverPlanPanic(engine string, err *error) {
 	}
 }
 
-// runSerial is the planned one-pass bucket algorithm: no per-run
-// validation, no allocation (multi and red are plan-owned). Like the
-// one-shot serial engine it never observes fault hooks; with a
-// context set it runs in CancelStride segments, polling at each
-// boundary.
+// serialExec is the planned one-pass bucket algorithm over plan-owned
+// storage: no per-run validation, no allocation.
+type serialExec[T any] struct {
+	p *Plan[T]
+	//mp:guarded-by mu
+	multi []T
+	//mp:guarded-by mu
+	red []T
+}
+
+func newSerialExec[T any](p *Plan[T]) *serialExec[T] {
+	return &serialExec[T]{p: p, multi: make([]T, p.n), red: make([]T, p.m)}
+}
+
+//mp:locked
+func (e *serialExec[T]) run(values []T) (core.Result[T], error) {
+	if err := e.pass(values, e.multi, e.red); err != nil {
+		return core.Result[T]{}, err
+	}
+	return core.Result[T]{Multi: e.multi, Reductions: e.red}, nil
+}
+
+//mp:locked
+func (e *serialExec[T]) reduce(values []T) ([]T, error) {
+	if err := e.pass(values, nil, e.red); err != nil {
+		return nil, err
+	}
+	return e.red, nil
+}
+
+// batch runs the pass per vector, writing prefixes (or reductions)
+// directly into the caller's destinations.
 //
 //mp:locked
-func (p *Plan[T]) runSerial(values []T, withMulti bool) (err error) {
-	defer recoverPlanPanic("plan/serial", &err)
-	core.FillIdentity(p.op, p.red)
-	var multi []T
-	if withMulti {
-		multi = p.multi
+func (e *serialExec[T]) batch(dsts, srcs [][]T, withMulti bool) error {
+	for k := range srcs {
+		multi, red := dsts[k], e.red
+		if !withMulti {
+			multi, red = nil, dsts[k]
+		}
+		if err := e.pass(srcs[k], multi, red); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+func (e *serialExec[T]) close() {}
+
+// pass is one bucket pass over values into multi (nil for reduce-only)
+// and red. Like the one-shot serial engine it never observes fault
+// hooks; with a context set it runs in CancelStride segments, polling
+// at each boundary.
+//
+//mp:locked
+//mp:polls
+func (e *serialExec[T]) pass(values, multi, red []T) (err error) {
+	defer recoverPlanPanic("plan/serial", &err)
+	p := e.p
+	core.FillIdentity(p.op, red)
 	ctx := p.cfg.Ctx
 	if ctx == nil {
-		core.BucketRange(p.op, p.op.Fast, "serial", values, p.labels, multi, p.red, 0, p.n, nil)
+		core.BucketRange(p.op, p.op.Fast, "serial", values, p.labels, multi, red, 0, p.n, nil)
 		return nil
 	}
 	for lo := 0; lo < p.n || lo == 0; lo += core.CancelStride {
@@ -730,7 +626,7 @@ func (p *Plan[T]) runSerial(values []T, withMulti bool) (err error) {
 			return err
 		}
 		hi := min(lo+core.CancelStride, p.n)
-		core.BucketRange(p.op, p.op.Fast, "serial", values, p.labels, multi, p.red, lo, hi, nil)
+		core.BucketRange(p.op, p.op.Fast, "serial", values, p.labels, multi, red, lo, hi, nil)
 		if hi == p.n {
 			break
 		}
@@ -738,129 +634,91 @@ func (p *Plan[T]) runSerial(values []T, withMulti bool) (err error) {
 	return nil
 }
 
-// runChunked is the planned chunked engine: pass 1 (local buckets)
-// and pass 4 (offset apply) on the persistent team with the
-// plan-time partitions and touched lists, pass 3 (merge) on the
-// calling goroutine — the same four-pass structure, panic recovery
-// and cancellation polling as the one-shot engine.
-//
-//mp:locked
-func (p *Plan[T]) runChunked(values []T, withMulti bool) error {
-	p.values = values
-	p.runMulti = withMulti
-	p.fast = p.op.FastKind(p.cfg.FaultHook)
-	p.guard.reset()
-	p.team.Run(p.localBody)
-	if err := p.guard.first(); err != nil {
-		p.values = nil
-		return err
-	}
-
-	// Pass 3: exclusive scan across chunks per label, replacing each
-	// chunk's bucket slot with its offset.
-	if err := ctxDone(p.cfg); err != nil {
-		p.values = nil
-		return err
-	}
-	p.mergeInto(p.red)
-
-	if withMulti && p.workers > 1 {
-		if err := ctxDone(p.cfg); err != nil {
-			p.values = nil
-			return err
-		}
-		p.team.Run(p.applyBody)
-		if err := p.guard.first(); err != nil {
-			p.values = nil
-			return err
-		}
-	}
-	p.values = nil
-	return nil
+// bufExec delegates spinetree and parallel plans to a plan-owned
+// pooled core.Buffers: the arena is rebuilt per run — those engines'
+// spine structure depends on the row-length choice the arena makes —
+// but all storage and the worker team persist.
+type bufExec[T any] struct {
+	p         *Plan[T]
+	buf       *core.Buffers[T]
+	spinetree bool
 }
 
-// chunkLocal is pass 1+2 for one worker: reset this chunk's touched
-// buckets to the identity (the plan-time touched list replaces the
-// one-shot engine's per-run first-touch discovery), then the bucket
-// pass in CancelStride segments.
-//
 //mp:locked
-func (p *Plan[T]) chunkLocal(w int, _ *par.Barrier) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/chunked", Phase: core.PhaseChunkLocal,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-	}()
-	buckets := p.buckets[w]
-	for _, l := range p.touched[w] {
-		buckets[l] = p.op.Identity
+func (e *bufExec[T]) run(values []T) (core.Result[T], error) {
+	p := e.p
+	if e.spinetree {
+		return e.buf.Spinetree(p.op, values, p.labels, p.m, p.cfg)
 	}
-	var multi []T
-	if p.runMulti {
-		multi = p.multi
-	}
-	lo, hi := par.Range(p.n, p.workers, w)
-	for seg := lo; seg < hi; seg += core.CancelStride {
-		if p.guard.interrupted(p.cfg.Ctx) {
-			return
-		}
-		end := min(seg+core.CancelStride, hi)
-		core.BucketRange(p.op, p.fast, core.PhaseChunkLocal, p.values, p.labels, multi, buckets, seg, end, p.cfg.FaultHook)
-	}
+	return e.buf.Parallel(p.op, values, p.labels, p.m, p.cfg)
 }
 
-// chunkApply is pass 4 for one worker: add the chunk's offsets onto
-// its local prefix sums. Chunk 0's offsets are the identity, so
-// worker 0 idles.
-//
 //mp:locked
-func (p *Plan[T]) chunkApply(w int, _ *par.Barrier) {
-	if w == 0 {
-		return
+func (e *bufExec[T]) reduce(values []T) ([]T, error) {
+	p := e.p
+	if e.spinetree {
+		return e.buf.SpinetreeReduce(p.op, values, p.labels, p.m, p.cfg)
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/chunked", Phase: core.PhaseChunkApply,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-	}()
-	offsets := p.buckets[w]
-	lo, hi := par.Range(p.n, p.workers, w)
-	for seg := lo; seg < hi; seg += core.CancelStride {
-		if p.guard.interrupted(p.cfg.Ctx) {
-			return
-		}
-		end := min(seg+core.CancelStride, hi)
-		core.ApplyRange(p.op, p.fast, p.labels, offsets, p.multi, seg, end, p.cfg.FaultHook)
-	}
+	return e.buf.ParallelReduce(p.op, values, p.labels, p.m, p.cfg)
 }
 
-// runPram executes one simulated PRAM run. The simulator builds its
-// machine per run, so this path amortizes only validation; it exists
-// so study code can drive repeated traffic through the same Plan API.
-//
+func (e *bufExec[T]) batch(dsts, srcs [][]T, withMulti bool) error {
+	return loopBatch(e, dsts, srcs, withMulti)
+}
+
+func (e *bufExec[T]) close() {}
+
+// pramExec is per-run simulated PRAM execution. The simulator builds
+// its machine per run, so this executor amortizes only validation; it
+// exists so study code can drive repeated traffic through the same
+// Plan API.
+type pramExec[T any] struct{ p *Plan[T] }
+
 //mp:locked
-func (p *Plan[T]) runPram(values []T, withMulti bool) (core.Result[T], error) {
-	procs := par.ClampWorkers(p.cfg.Workers)
-	vs := any(values).([]int64)
-	var res *pram.Result
-	var err error
-	if withMulti {
-		res, err = pram.RunMultiprefix(procs, vs, p.labels, p.m, p.cfg.RowLength, 1)
-	} else {
-		res, err = pram.RunMultireduce(procs, vs, p.labels, p.m, p.cfg.RowLength, 1)
-	}
+func (e pramExec[T]) run(values []T) (core.Result[T], error) {
+	p := e.p
+	res, err := pram.RunMultiprefix(par.ClampWorkers(p.cfg.Workers), any(values).([]int64), p.labels, p.m, p.cfg.RowLength, 1)
 	if err != nil {
 		return core.Result[T]{}, err
 	}
-	out := core.Result[T]{Reductions: any(res.Reductions).([]T)}
-	if withMulti {
-		out.Multi = any(res.Multi).([]T)
+	return core.Result[T]{Multi: any(res.Multi).([]T), Reductions: any(res.Reductions).([]T)}, nil
+}
+
+//mp:locked
+func (e pramExec[T]) reduce(values []T) ([]T, error) {
+	p := e.p
+	res, err := pram.RunMultireduce(par.ClampWorkers(p.cfg.Workers), any(values).([]int64), p.labels, p.m, p.cfg.RowLength, 1)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return any(res.Reductions).([]T), nil
+}
+
+func (e pramExec[T]) batch(dsts, srcs [][]T, withMulti bool) error {
+	return loopBatch(e, dsts, srcs, withMulti)
+}
+
+func (e pramExec[T]) close() {}
+
+// loopBatch is the unfused batch of the buffers and pram executors:
+// one evaluation per vector plus a copy into the caller's storage.
+//
+//mp:locked
+func loopBatch[T any](e executor[T], dsts, srcs [][]T, withMulti bool) error {
+	for k := range srcs {
+		if withMulti {
+			res, err := e.run(srcs[k])
+			if err != nil {
+				return err
+			}
+			copy(dsts[k], res.Multi)
+			continue
+		}
+		red, err := e.reduce(srcs[k])
+		if err != nil {
+			return err
+		}
+		copy(dsts[k], red)
+	}
+	return nil
 }

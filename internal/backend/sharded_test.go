@@ -143,7 +143,8 @@ func TestShardedGenericOrder(t *testing.T) {
 // TestShardedRounds asserts the tentpole round-efficiency property: a
 // completed Run executes exactly ⌈log₂S⌉ carry-exchange rounds, a
 // k-vector batch exactly k·⌈log₂S⌉, and the modeled per-round traffic
-// follows (S−2^r)·m·elemBytes.
+// follows (S−2^r)·m·elemBytes. A multi-worker sorted plan runs the
+// same engine (S = Workers), so its geometry is visible too.
 func TestShardedRounds(t *testing.T) {
 	const n, m = 4096, 32
 	rng := rand.New(rand.NewSource(97))
@@ -153,14 +154,22 @@ func TestShardedRounds(t *testing.T) {
 		values[i] = int64(rng.Intn(100))
 		labels[i] = rng.Intn(m)
 	}
-	be, err := Open[int64]("sharded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ shards, rounds int }{
-		{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {7, 3}, {8, 3},
+	for _, tc := range []struct {
+		name           string
+		shards, rounds int
+	}{
+		{"sharded", 1, 0}, {"sharded", 2, 1}, {"sharded", 3, 2}, {"sharded", 4, 2},
+		{"sharded", 5, 3}, {"sharded", 7, 3}, {"sharded", 8, 3}, {"sorted", 2, 1},
 	} {
-		plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Shards: tc.shards})
+		be, err := Open[int64](tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.Config{Shards: tc.shards}
+		if tc.name == "sorted" {
+			cfg = core.Config{Workers: tc.shards}
+		}
+		plan, err := be.Plan(core.AddInt64, labels, m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +178,10 @@ func TestShardedRounds(t *testing.T) {
 		}
 		st, ok := plan.ShardStats()
 		if !ok {
-			t.Fatalf("s%d: ShardStats not available on a sharded plan", tc.shards)
+			t.Fatalf("%s s%d: ShardStats not available", tc.name, tc.shards)
+		}
+		if owner, ok := plan.ShardOf(m - 1); !ok || owner < 0 || owner >= tc.shards {
+			t.Fatalf("%s s%d: ShardOf(%d) = %d, %v", tc.name, tc.shards, m-1, owner, ok)
 		}
 		if st.Shards != tc.shards {
 			t.Fatalf("s%d: Shards = %d", tc.shards, st.Shards)
@@ -414,17 +426,14 @@ func TestHashRing(t *testing.T) {
 	}
 }
 
-// TestShardedAutoPlan: with a pinned calibration, the auto backend's
-// Plan picks the sharded engine above the crossover and the pick is
-// visible through AutoPlanChoice.
+// TestShardedAutoPlan: the sort-scan engines are not Auto candidates.
+// In the parallel regime — even with Config.Shards set — an auto Plan
+// resolves to chunked, reports no shard geometry, and matches serial.
 func TestShardedAutoPlan(t *testing.T) {
-	cal := &core.AutoCalibration{SerialMax: 64, ShardedMinN: 1 << 12}
-	cfg := core.Config{Workers: 4, AutoCal: cal}
-	if got := core.AutoPlanChoice(1<<13, 64, cfg); got != "sharded" {
-		t.Fatalf("AutoPlanChoice above crossover = %q, want sharded", got)
-	}
-	if got := core.AutoPlanChoice(1<<10, 64, cfg); got == "sharded" {
-		t.Fatal("AutoPlanChoice below crossover picked sharded")
+	cal := &core.AutoCalibration{SerialMax: 64}
+	cfg := core.Config{Workers: 4, Shards: 4, AutoCal: cal}
+	if got := core.AutoPlanChoice(1<<13, 64, cfg); got != "chunked" {
+		t.Fatalf("AutoPlanChoice in the parallel regime = %q, want chunked", got)
 	}
 	const n, m = 1 << 13, 64
 	rng := rand.New(rand.NewSource(103))
@@ -447,15 +456,15 @@ func TestShardedAutoPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plan.Close()
-	if _, ok := plan.ShardStats(); !ok {
-		t.Fatal("auto plan above the crossover did not build the sharded engine")
+	if _, ok := plan.ShardStats(); ok {
+		t.Fatal("auto plan built the sort-scan engine")
 	}
 	res, err := plan.Run(values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
-		t.Fatal("auto sharded plan differs from serial")
+		t.Fatal("auto plan differs from serial")
 	}
 }
 

@@ -115,8 +115,8 @@ func TestSortedPlanCarryMatrix(t *testing.T) {
 
 // TestSortedPlanGenericOp drives the planned sorted engine (serial and
 // parallel) through the generic kernels with a non-commutative
-// operator: combine order through the permutation, the stitch and the
-// lead rescan must reproduce the serial order exactly.
+// operator: combine order through the permutation, the carry exchange
+// and the seeded rescan must reproduce the serial order exactly.
 func TestSortedPlanGenericOp(t *testing.T) {
 	concat := core.Op[string]{
 		Name:     "concat",

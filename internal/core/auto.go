@@ -23,20 +23,11 @@ type AutoCalibration struct {
 	// every machine we have measured (far fewer synchronization
 	// points), but the probe keeps the choice honest.
 	ParallelOverChunked bool
-	// SortedMinM is the smallest label count at which the sorted
-	// segmented-scan engine beats the serial bucket pass in the serial
-	// regime: once the m-element accumulator array falls out of cache,
-	// the bucket pass's scattered writes thrash while the sorted scan
-	// streams contiguous runs. 0 means the sorted engine never wins.
-	// Consulted only when Probe is nil: with a measured probe the
-	// serial-vs-sorted decision comes from the cost model instead of
-	// this single threshold.
-	SortedMinM int
-	// Probe is the measured memory profile feeding the
-	// serial-vs-sorted cost model (see MemProbe). The process-wide
-	// calibration fills it from a one-time measurement; explicit
-	// Config.AutoCal values may supply a synthetic probe to pin
-	// decisions, or leave it nil to fall back to SortedMinM.
+	// Probe is the measured memory profile (see MemProbe) the tile
+	// budget and the incremental update burst derive from. The
+	// process-wide calibration fills it from a one-time measurement;
+	// explicit Config.AutoCal values may supply a synthetic probe or
+	// leave it nil.
 	Probe *MemProbe
 	// TileBytes is the sorted engine's per-tile cache budget in bytes;
 	// 0 means DefaultTileBytes. The calibration derives it from the
@@ -47,68 +38,6 @@ type AutoCalibration struct {
 	// override); 0 derives it per shape from the probe's cost model
 	// (MemProbe.UpdateBurst) or the folklore n/(4·log2 n) fallback.
 	UpdateBurst int
-	// ShardedMinN governs the planned engines' chunked-vs-sharded
-	// crossover (AutoPlanChoice; one-shot Auto never picks sharded —
-	// its plan-time per-shard counting sorts don't amortize in a single
-	// evaluation). Positive pins it: auto plans in the parallel regime
-	// go sharded at n ≥ ShardedMinN. 0 derives the decision from the
-	// probe's cost model (sharded wherever ShardedNs prices below
-	// ChunkedNs); negative disables sharded selection entirely.
-	ShardedMinN int
-}
-
-// sortedWins reports whether the sorted engine is predicted to beat
-// the serial bucket pass at shape (n, m): by the measured cost model
-// when a probe is present, by the SortedMinM threshold otherwise.
-// The model prices the tiled scan, so inputs whose working set fits
-// one tile — where no tiling exists and the bucket array is cache-
-// resident anyway — stay serial.
-func (cal AutoCalibration) sortedWins(n, m int) bool {
-	if p := cal.Probe; p != nil {
-		tile := cal.TileBytes
-		if tile <= 0 {
-			tile = p.TileBytes
-		}
-		if tile <= 0 {
-			tile = DefaultTileBytes
-		}
-		if n*tiledElemBytes <= 3*tile {
-			// Below TileWindow's four-window floor no tiling exists, the
-			// bucket array is cache-resident anyway: stay serial.
-			return false
-		}
-		return p.SortedNs(n, m, tile) < p.SerialNs(n, m)
-	}
-	return cal.SortedMinM > 0 && m >= cal.SortedMinM
-}
-
-// shardedWins reports whether a planned sharded decomposition is
-// predicted to beat the chunked engine at shape (n, m) with the given
-// worker count. The chunked engine pays a random bucket update per
-// element in an 8m-byte working set twice (accumulate + apply); the
-// sharded engine streams sorted runs twice plus the logarithmic
-// exchange — so sharded wins where the label count pushes the bucket
-// array out of cache and the per-shard runs stay long enough to
-// stream.
-func (cal AutoCalibration) shardedWins(n, m, workers int) bool {
-	if cal.ShardedMinN < 0 || m > n || n > maxSortedN {
-		return false
-	}
-	if cal.ShardedMinN > 0 {
-		return n >= cal.ShardedMinN
-	}
-	p := cal.Probe
-	if p == nil {
-		return false
-	}
-	tile := cal.TileBytes
-	if tile <= 0 {
-		tile = p.TileBytes
-	}
-	if tile <= 0 {
-		tile = DefaultTileBytes
-	}
-	return p.ShardedNs(n, m, workers, tile) < p.ChunkedNs(n, m, workers)
 }
 
 // AutoTileBytes resolves the sorted engine's per-tile budget for cfg:
@@ -173,7 +102,6 @@ const (
 	kindSerial engineKind = iota
 	kindChunked
 	kindParallel
-	kindSorted
 )
 
 func (k engineKind) String() string {
@@ -182,8 +110,6 @@ func (k engineKind) String() string {
 		return "chunked"
 	case kindParallel:
 		return "parallel"
-	case kindSorted:
-		return "sorted"
 	default:
 		return "serial"
 	}
@@ -205,18 +131,14 @@ func defaultAutoCal() AutoCalibration {
 // int64-sum workloads of growing size to locate the serial/parallel
 // crossover — the approach of Träff's tuned MPI_Exscan: pick the
 // algorithm variant per problem shape, from measurements, not faith.
-// The serial-vs-sorted decision is delegated to the measured memory
-// probe's cost model (memprobe.go); the timed SortedMinM head-to-head
-// remains only as the fallback when the probe is disabled
-// (MP_AUTOCAL=noprobe), and MP_AUTOCAL field overrides are applied
-// last so CI can pin any of the knobs.
+// The measured memory probe (memprobe.go) supplies the tile budget,
+// and MP_AUTOCAL field overrides are applied last so CI can pin any of
+// the knobs.
 func calibrate() AutoCalibration {
 	cal := AutoCalibration{SerialMax: 1 << 20}
 	cal.Probe = defaultMemProbe()
 	if cal.Probe != nil {
 		cal.TileBytes = cal.Probe.TileBytes
-	} else {
-		cal.SortedMinM = calibrateSorted()
 	}
 	if par.DefaultWorkers() <= 1 {
 		// One usable CPU: a parallel decomposition cannot win, and the
@@ -257,29 +179,6 @@ func calibrate() AutoCalibration {
 	return applyAutoCalEnv(cal)
 }
 
-// calibrateSorted probes the serial-regime crossover between the
-// bucket pass and the sorted segmented scan at a label count large
-// enough to stress the accumulator array (m = 2^14, 128 KiB of int64
-// buckets). The sorted engine pays a gather per element but keeps its
-// write streams contiguous; it wins only where the bucket array
-// overwhelms the cache hierarchy, so on machines with very large
-// last-level caches the honest answer is 0 (never).
-func calibrateSorted() int {
-	const n, m = 1 << 17, 1 << 14
-	values := make([]int64, n)
-	labels := make([]int, n)
-	for i := range values {
-		values[i] = int64(i&1023) - 512
-		labels[i] = int(uint32(i*2654435761) % m)
-	}
-	ts := bestOf(3, func() { _, _ = Serial(AddInt64, values, labels, m) })
-	tsorted := bestOf(3, func() { _, _ = Sorted(AddInt64, values, labels, m, Config{}) })
-	if tsorted < ts {
-		return m / 2
-	}
-	return 0
-}
-
 // bestOf returns the fastest of reps timed runs of f.
 func bestOf(reps int, f func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
@@ -297,16 +196,8 @@ func bestOf(reps int, f func()) time.Duration {
 // only one worker is available, when n is below the calibrated
 // crossover, or when labels outnumber elements (m > n: the dense O(m)
 // per-worker bucket storage and merge dominate any parallel gain).
-// Within that serial regime, the sorted segmented scan takes over
-// where the calibration predicts it faster — the measured probe's
-// cost model when present, the SortedMinM threshold otherwise; m > n
-// still goes serial — the sorted engine needs the same O(m) run-bound
-// array the bucket pass thrashes on.
 func autoPick(n, m, workers int, cal AutoCalibration) engineKind {
 	if workers <= 1 || n <= cal.SerialMax || m > n {
-		if m <= n && n <= maxSortedN && cal.sortedWins(n, m) {
-			return kindSorted
-		}
 		return kindSerial
 	}
 	if cal.ParallelOverChunked {
@@ -334,24 +225,10 @@ func AutoChoice(n, m int, cfg Config) string {
 }
 
 // AutoPlanChoice reports which engine an auto Plan builds for a
-// problem shape under cfg. It extends AutoChoice with the planned-only
-// sharded engine: a plan evaluates many vectors against one label
-// structure, so in the parallel regime the choice falls to the cheaper
-// of the chunked and sharded cost models (an explicit Config.Shards
-// forces sharded decompositions regardless — that knob belongs to the
-// sharded backend, not auto).
+// problem shape under cfg: the same choice as AutoChoice, resolved
+// once at plan time.
 func AutoPlanChoice(n, m int, cfg Config) string {
-	cal := cfg.AutoCal
-	if cal == nil {
-		c := defaultAutoCal()
-		cal = &c
-	}
-	workers := par.ClampWorkers(cfg.Workers)
-	k := autoPick(n, m, workers, *cal)
-	if (k == kindChunked || k == kindParallel) && cal.shardedWins(n, m, workers) {
-		return "sharded"
-	}
-	return k.String()
+	return AutoChoice(n, m, cfg)
 }
 
 // AutoEngine returns the adaptive engine: it picks
@@ -367,8 +244,6 @@ func AutoEngine[T any](cfg Config) Engine[T] {
 			return Parallel(op, values, labels, m, cfg)
 		case kindChunked:
 			return Chunked(op, values, labels, m, cfg)
-		case kindSorted:
-			return Sorted(op, values, labels, m, cfg)
 		default:
 			return serialCtx(op, values, labels, m, cfg)
 		}
@@ -391,8 +266,6 @@ func AutoReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([
 		red, err = ParallelReduce(op, values, labels, m, cfg)
 	case kindChunked:
 		red, err = ChunkedReduce(op, values, labels, m, cfg)
-	case kindSorted:
-		red, err = SortedReduce(op, values, labels, m, cfg)
 	default:
 		red, err = serialReduceCtx(op, values, labels, m, cfg)
 	}
@@ -527,8 +400,6 @@ func (b *Buffers[T]) Auto(op Op[T], values []T, labels []int, m int, cfg Config)
 		res, err = b.Parallel(op, values, labels, m, cfg)
 	case kindChunked:
 		res, err = b.Chunked(op, values, labels, m, cfg)
-	case kindSorted:
-		res, err = b.Sorted(op, values, labels, m, cfg)
 	default:
 		res, err = b.serialCtxIn(op, values, labels, m, cfg)
 	}
@@ -550,8 +421,6 @@ func (b *Buffers[T]) AutoReduce(op Op[T], values []T, labels []int, m int, cfg C
 		red, err = b.ParallelReduce(op, values, labels, m, cfg)
 	case kindChunked:
 		red, err = b.ChunkedReduce(op, values, labels, m, cfg)
-	case kindSorted:
-		red, err = b.SortedReduce(op, values, labels, m, cfg)
 	default:
 		red, err = b.serialReduceCtxIn(op, values, labels, m, cfg)
 	}

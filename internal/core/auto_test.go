@@ -13,24 +13,6 @@ import (
 func TestAutoChoice(t *testing.T) {
 	chunkedCal := &AutoCalibration{SerialMax: 1000}
 	parallelCal := &AutoCalibration{SerialMax: 1000, ParallelOverChunked: true}
-	sortedCal := &AutoCalibration{SerialMax: 1 << 30, SortedMinM: 2048}
-	// A synthetic measured probe — not host folklore — driving the
-	// serial-vs-sorted cost model: 10 GB/s streams and a random-access
-	// ladder that stays flat through 512 KiB then climbs steeply, i.e. a
-	// machine whose caches end at 2 MiB. Against it the model must send
-	// shapes whose 8m-byte bucket array blows the ladder to sorted, and
-	// keep shapes whose buckets sit in cache (the gather + per-segment
-	// startup isn't worth it) on serial.
-	probeCal := &AutoCalibration{
-		SerialMax: 1 << 30,
-		Probe: &MemProbe{
-			StreamBps: 10e9,
-			CopyBps:   10e9,
-			RandomWS:  []int{1 << 15, 1 << 17, 1 << 19, 1 << 21, 1 << 23},
-			RandomNs:  []float64{2, 2, 3, 40, 80},
-			TileBytes: 1 << 19,
-		},
-	}
 	cases := []struct {
 		name string
 		n, m int
@@ -42,30 +24,49 @@ func TestAutoChoice(t *testing.T) {
 		{"sparse-labels", 4000, 5000, Config{Workers: 4, AutoCal: chunkedCal}, "serial"},
 		{"big-chunked", 4000, 64, Config{Workers: 4, AutoCal: chunkedCal}, "chunked"},
 		{"big-parallel", 4000, 64, Config{Workers: 4, AutoCal: parallelCal}, "parallel"},
-		// The sorted crossover: in the serial regime, a calibrated
-		// SortedMinM routes label-heavy shapes to the sorted engine —
-		// including the issue's target shape — while m below the
-		// crossover, m > n, or SortedMinM == 0 (the honest calibration
-		// on a machine whose LLC holds the whole bucket array) stay
-		// serial.
-		{"sorted-crossover", 1 << 18, 4096, Config{Workers: 1, AutoCal: sortedCal}, "sorted"},
-		{"sorted-small-m", 1 << 18, 1024, Config{Workers: 1, AutoCal: sortedCal}, "serial"},
-		{"sorted-m>n", 4000, 5000, Config{Workers: 4, AutoCal: sortedCal}, "serial"},
-		{"sorted-disabled", 1 << 18, 4096, Config{Workers: 1, AutoCal: &AutoCalibration{SerialMax: 1 << 30}}, "serial"},
-		// The measured cost model: with a probe present SortedMinM is
-		// ignored and the decision prices both engines per shape.
-		// m = 2^20 puts an 8 MiB bucket array at the top of the ladder
-		// (80 ns/update): the bucket pass thrashes, sorted wins. m = 4096
-		// keeps the buckets inside the flat region: serial streams.
-		// n = 2^15 fits a single 512 KiB tile: no tiling exists and the
-		// model keeps it serial regardless of m.
-		{"probe-sorted", 1 << 22, 1 << 20, Config{Workers: 1, AutoCal: probeCal}, "sorted"},
-		{"probe-serial-cached-buckets", 1 << 22, 4096, Config{Workers: 1, AutoCal: probeCal}, "serial"},
-		{"probe-fits-one-tile", 1 << 15, 1 << 14, Config{Workers: 1, AutoCal: probeCal}, "serial"},
 	}
 	for _, tc := range cases {
 		if got := AutoChoice(tc.n, tc.m, tc.cfg); got != tc.want {
 			t.Errorf("%s: AutoChoice(%d, %d) = %q, want %q", tc.name, tc.n, tc.m, got, tc.want)
+		}
+	}
+}
+
+// TestAutoCandidates pins Auto's candidate set: under the measured
+// probe, with the probe disabled (the MP_AUTOCAL=noprobe calibration)
+// and under synthetic calibrations, AutoChoice and AutoPlanChoice
+// return only serial, chunked or parallel — never a sort-based engine
+// — across worker counts and shapes that include the label-heavy
+// (2^22, 16) and NAS IS (2^20, 2^19) shapes. The two functions agree.
+func TestAutoCandidates(t *testing.T) {
+	measured := DefaultCalibration()
+	noprobe := measured
+	noprobe.Probe, noprobe.TileBytes = nil, 0
+	cals := map[string]*AutoCalibration{
+		"process":       nil,
+		"measured":      &measured,
+		"noprobe":       &noprobe,
+		"low-serialmax": {SerialMax: 1, Probe: measured.Probe},
+		"parallel":      {SerialMax: 1, ParallelOverChunked: true},
+	}
+	shapes := []struct{ n, m int }{
+		{0, 1}, {1000, 64}, {1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12},
+		{1 << 18, 1 << 16}, {1 << 20, 1 << 16}, {1 << 20, 1 << 19}, {1 << 22, 16}, {1 << 22, 1024},
+	}
+	for name, cal := range cals {
+		for _, workers := range []int{0, 1, 2, 8} {
+			cfg := Config{Workers: workers, AutoCal: cal}
+			for _, sh := range shapes {
+				got := AutoChoice(sh.n, sh.m, cfg)
+				switch got {
+				case "serial", "chunked", "parallel":
+				default:
+					t.Errorf("%s/w%d: AutoChoice(%d, %d) = %q, want serial|chunked|parallel", name, workers, sh.n, sh.m, got)
+				}
+				if plan := AutoPlanChoice(sh.n, sh.m, cfg); plan != got {
+					t.Errorf("%s/w%d: AutoPlanChoice(%d, %d) = %q, AutoChoice = %q", name, workers, sh.n, sh.m, plan, got)
+				}
+			}
 		}
 	}
 }
@@ -88,7 +89,6 @@ func TestAutoMatchesSerial(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial-branch", Config{Workers: 1}},
-		{"sorted-branch", Config{Workers: 1, AutoCal: &AutoCalibration{SortedMinM: 8}}},
 		{"chunked-branch", Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 100}}},
 		{"parallel-branch", Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 100, ParallelOverChunked: true}}},
 		{"default-cal", Config{Workers: 4}},

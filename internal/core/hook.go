@@ -13,12 +13,9 @@ const (
 	PhaseChunkLocal = "chunk-local"
 	PhaseChunkMerge = "chunk-merge"
 	PhaseChunkApply = "chunk-apply"
-	// The sorted engine's passes: the fused segmented scan over the
-	// plan-time permutation, the sequential cross-shard stitch, and the
-	// carry-in rescan of a shard's leading partial run.
-	PhaseSortedScan   = "sorted-scan"
-	PhaseSortedStitch = "sorted-stitch"
-	PhaseSortedApply  = "sorted-apply"
+	// The sorted engine's fused segmented scan over the counting-sort
+	// permutation (also the sharded engine's per-shard totals scan).
+	PhaseSortedScan = "sorted-scan"
 	// The sharded engine's passes: the per-shard reduce-only scan that
 	// produces each shard's per-label totals row, the ⌈log₂S⌉-round
 	// exclusive-prefix carry exchange over those rows, and the seeded

@@ -10,36 +10,14 @@ import (
 
 // This file is the measured half of the Auto calibration: a one-time
 // memory probe (sequential bandwidth, copy bandwidth, and a
-// random-update latency ladder over growing working sets) and the
-// first-order cost model that turns those numbers into the
-// serial-vs-sorted decision. The previous calibration reduced the
-// whole question to one timed head-to-head at a single shape and
-// pinned SortedMinM = 0 on hosts whose last-level cache swallowed the
-// bucket array; the model below instead prices both engines per shape
-// from the machine's measured characteristics, so the decision moves
-// with (n, m) instead of being a single folklore constant.
-//
-// The model (per element, in ns):
-//
-//   serial  streams values + labels + multi (24 bytes) and performs
-//           one read-modify-write into the m-slot bucket array — a
-//           random update within an 8m-byte working set:
-//               stream(24) + α·rand(8m)
-//
-//   sorted  (tiled) streams values + multi + perm (20 bytes — perm is
-//           int32) with the gather/scatter confined to one tile, so
-//           the random component is priced at the tile budget rather
-//           than the whole vector, and only to the degree the average
-//           segment is too short to stream (blend = min(1, 64/seglen));
-//           each segment also pays a fixed startup:
-//               stream(20) + α·blend·rand(tile) + startup/seglen
-//
-// α < 1 because the measured rand ladder is a fully dependent update
-// chain while both engines keep several updates in flight. The
-// constants are first-order — the model's job is to rank the two
-// engines per shape, and its inputs are measured, cached per process,
+// random-update latency ladder over growing working sets). Its ladder
+// knee sets the sorted engine's per-tile cache budget (TileBytes), and
+// its first-order Fenwick cost model sets the incremental plans'
+// update-vs-rerun crossover (UpdateBurst). Engine selection does not
+// consult it: Auto picks among serial, chunked and parallel from the
+// timed crossover alone. The inputs are measured, cached per process,
 // and overridable (Config.AutoCal, MP_AUTOCAL) so tests and CI pin
-// decisions with explicit numbers.
+// them with explicit numbers.
 
 // MemProbe is the one-time measured memory profile of the host.
 type MemProbe struct {
@@ -63,20 +41,13 @@ type MemProbe struct {
 	TileBytes int
 }
 
-// probe model constants — first-order fits whose job is to rank the
-// two engines per shape, not to predict absolute times.
+// probe model constants — first-order fits, not absolute predictions.
 const (
-	probeAlpha       = 0.5  // dependent-chain overlap factor
-	probeSegBlend    = 64.0 // segment length below which gathers stop streaming
-	probeSegNs       = 10.0 // per-segment startup, ns
-	probeSortedK     = 4.0  // cache lines a short-segment element touches randomly (perm + gather + scatter) vs serial's one bucket
-	probeStreamB     = 24.0 // serial streamed bytes per element
-	probeSortedB     = 20.0 // sorted streamed bytes per element (int32 perm)
-	probeUpdateLvlNs = 2.0  // per-tree-level fixed cost (index math + RMW), ns
+	probeAlpha       = 0.5 // dependent-chain overlap factor
+	probeUpdateLvlNs = 2.0 // per-tree-level fixed cost (index math + RMW), ns
 	probeTileMin     = 1 << 18
 	probeTileMax     = 1 << 20
 	probeLadderTop   = 1 << 23 // top rung must fit the probe scratch buffer
-	probeBarrierNs   = 2000.0  // one team barrier round (wake + arrive), ns
 )
 
 // streamNs is the modeled cost of streaming b bytes.
@@ -115,66 +86,6 @@ func (p *MemProbe) randNetNs(ws int) float64 {
 	lo, hi := float64(p.RandomWS[i]), float64(p.RandomWS[i+1])
 	t := (math.Log2(float64(ws)) - math.Log2(lo)) / (math.Log2(hi) - math.Log2(lo))
 	return at(i) + t*(at(i+1)-at(i))
-}
-
-// SerialNs models the serial bucket pass over shape (n, m).
-func (p *MemProbe) SerialNs(n, m int) float64 {
-	return float64(n) * (p.streamNs(probeStreamB) + probeAlpha*p.randNetNs(8*m))
-}
-
-// SortedNs models the tiled sorted scan over shape (n, m) with the
-// given per-tile budget (0 means DefaultTileBytes).
-func (p *MemProbe) SortedNs(n, m, tileBytes int) float64 {
-	if tileBytes <= 0 {
-		tileBytes = DefaultTileBytes
-	}
-	nWin := (n*tiledElemBytes + tileBytes - 1) / tileBytes
-	if nWin < 1 {
-		nWin = 1
-	}
-	segLen := float64(n) / (float64(m) * float64(nWin))
-	if segLen < 1 {
-		segLen = 1
-	}
-	blend := probeSegBlend / segLen
-	if blend > 1 {
-		blend = 1
-	}
-	ws := min(n*tiledElemBytes, tileBytes)
-	perElem := p.streamNs(probeSortedB) + probeAlpha*blend*probeSortedK*p.randNetNs(ws) + probeSegNs/segLen
-	return float64(n) * perElem
-}
-
-// ChunkedNs models the planned chunked engine over shape (n, m) with
-// the given worker count: two bucket passes over n/W elements each
-// (local accumulate, then offset apply), the O(W·m) serial merge, and
-// two barrier rounds. The random component is the same 8m-byte bucket
-// update the serial model prices — each worker owns a private bucket
-// array.
-func (p *MemProbe) ChunkedNs(n, m, workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	per := p.streamNs(probeStreamB) + probeAlpha*p.randNetNs(8*m)
-	return 2*float64(n)/float64(workers)*per +
-		float64(workers)*float64(m)*probeUpdateLvlNs +
-		2*probeBarrierNs
-}
-
-// ShardedNs models the planned sharded engine over shape (n, m) with
-// the given shard count and tile budget: two tiled sorted passes over
-// each shard's n/W elements (the reduce-only scan and the seeded
-// rescan) plus ⌈log₂W⌉ exchange rounds, each streaming one m-element
-// row per shard and paying a barrier.
-func (p *MemProbe) ShardedNs(n, m, workers, tileBytes int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	perShard := (n + workers - 1) / workers
-	rounds := float64(ShardedRounds(workers))
-	return 2*p.SortedNs(perShard, m, tileBytes) +
-		rounds*(float64(m)*p.streamNs(16)+probeBarrierNs) +
-		probeBarrierNs
 }
 
 // UpdateNs models one O(log n) Fenwick point update on an n-element
@@ -361,8 +272,7 @@ func defaultMemProbe() *MemProbe {
 }
 
 // parseAutoCalEnv parses MP_AUTOCAL: a comma-separated list of
-// "noprobe", "serialmax=N", "sortedminm=N", "tilebytes=N",
-// "updburst=N", "shardedminn=N". Returns the
+// "noprobe", "serialmax=N", "tilebytes=N", "updburst=N". Returns the
 // field overrides (applied by calibrate on top of its defaults) and
 // whether the probe is disabled. Malformed entries are ignored — a
 // broken override must not take the library down.
@@ -399,17 +309,11 @@ func applyAutoCalEnv(cal AutoCalibration) AutoCalibration {
 	if v, ok := fields["serialmax"]; ok {
 		cal.SerialMax = v
 	}
-	if v, ok := fields["sortedminm"]; ok {
-		cal.SortedMinM = v
-	}
 	if v, ok := fields["tilebytes"]; ok {
 		cal.TileBytes = v
 	}
 	if v, ok := fields["updburst"]; ok {
 		cal.UpdateBurst = v
-	}
-	if v, ok := fields["shardedminn"]; ok {
-		cal.ShardedMinN = v
 	}
 	return cal
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // ladderProbe is a synthetic probe with a clean knee at 512 KiB, used
-// to pin the model's interpolation and tile derivation without running
+// to pin the ladder interpolation and tile derivation without running
 // the real measurement.
 func ladderProbe() *MemProbe {
 	return &MemProbe{
@@ -48,28 +48,6 @@ func TestRandNetNs(t *testing.T) {
 	}
 }
 
-// TestCostModelRanking pins the model's qualitative shape on the
-// synthetic ladder: huge bucket arrays favor sorted, cache-resident
-// buckets favor serial, and both costs are positive and finite.
-func TestCostModelRanking(t *testing.T) {
-	p := ladderProbe()
-	const n = 1 << 22
-	if s, srt := p.SerialNs(n, 1<<20), p.SortedNs(n, 1<<20, p.TileBytes); srt >= s {
-		t.Errorf("m=2^20: sorted %.0f >= serial %.0f, want sorted cheaper", srt, s)
-	}
-	if s, srt := p.SerialNs(n, 4096), p.SortedNs(n, 4096, p.TileBytes); s >= srt {
-		t.Errorf("m=4096: serial %.0f >= sorted %.0f, want serial cheaper", s, srt)
-	}
-	for _, m := range []int{1, 64, 4096, 1 << 20} {
-		if v := p.SerialNs(n, m); v <= 0 {
-			t.Errorf("SerialNs(n, %d) = %v, want > 0", m, v)
-		}
-		if v := p.SortedNs(n, m, 0); v <= 0 {
-			t.Errorf("SortedNs(n, %d, 0) = %v, want > 0", m, v)
-		}
-	}
-}
-
 // TestDeriveTileBytes pins the knee rule on the synthetic ladder (the
 // last rung within a quarter of the climb is 512 KiB) and the clamps.
 func TestDeriveTileBytes(t *testing.T) {
@@ -100,19 +78,19 @@ func TestDeriveTileBytes(t *testing.T) {
 // noprobe, whitespace tolerance, and that malformed entries are
 // ignored rather than fatal.
 func TestParseAutoCalEnv(t *testing.T) {
-	t.Setenv("MP_AUTOCAL", " noprobe , serialmax=123, SortedMinM=77 ,tilebytes=262144, bogus, junk=xyz ")
+	t.Setenv("MP_AUTOCAL", " noprobe , serialmax=123, UpdBurst=77 ,tilebytes=262144, bogus, junk=xyz ")
 	fields, noProbe := parseAutoCalEnv()
 	if !noProbe {
 		t.Error("noprobe not recognized")
 	}
-	if fields["serialmax"] != 123 || fields["sortedminm"] != 77 || fields["tilebytes"] != 262144 {
+	if fields["serialmax"] != 123 || fields["updburst"] != 77 || fields["tilebytes"] != 262144 {
 		t.Errorf("fields = %v", fields)
 	}
 	if _, ok := fields["junk"]; ok {
 		t.Error("malformed junk=xyz should be ignored")
 	}
 	cal := applyAutoCalEnv(AutoCalibration{SerialMax: 1})
-	if cal.SerialMax != 123 || cal.SortedMinM != 77 || cal.TileBytes != 262144 {
+	if cal.SerialMax != 123 || cal.UpdateBurst != 77 || cal.TileBytes != 262144 {
 		t.Errorf("applyAutoCalEnv = %+v", cal)
 	}
 

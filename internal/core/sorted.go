@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"multiprefix/internal/par"
-)
+import "math"
 
 // This file is the sorted segmented-scan engine: the NAS IS treatment
 // of §6 turned into a reusable execution strategy. A stable counting
@@ -79,51 +75,6 @@ func BuildSortedIndexInto(perm, start []int32, labels []int) {
 		perm[start[l]] = int32(i)
 	}
 	// start[l] has been decremented back to the begin of run l.
-}
-
-// SortedShard is one worker's share of a parallel sorted run: the
-// sorted-position range [Lo, Hi) it scans and the labels [OwnLo,
-// OwnHi) whose reductions it owns. The owned ranges partition [0, m)
-// across the shards, so every label's reduction (including empty
-// labels, which get the identity) is written by exactly one party —
-// the owner's scan pass, or the stitch for runs that straddle a
-// boundary.
-type SortedShard struct {
-	Lo, Hi       int
-	OwnLo, OwnHi int
-	// LeadPartial reports that label OwnLo's run begins before Lo: the
-	// shard's leading elements continue a run opened by an earlier
-	// shard, so their prefixes need the stitched carry applied in a
-	// second pass, and the run's reduction is written by the stitch.
-	LeadPartial bool
-}
-
-// SortedShards partitions a sorted index across workers using the same
-// par.Range element split as the chunked engine, and derives each
-// shard's owned-label range: OwnLo is the label containing position Lo
-// (skipping runs that end at or before Lo), OwnHi the next shard's
-// OwnLo (m for the last). Shard 0 additionally owns any empty labels
-// before the first element.
-func SortedShards(start []int32, n, workers int) []SortedShard {
-	m := len(start) - 1
-	shards := make([]SortedShard, workers)
-	l := 0
-	for w := 0; w < workers; w++ {
-		lo, hi := par.Range(n, workers, w)
-		for l < m && int(start[l+1]) <= lo {
-			l++
-		}
-		own := l
-		lead := l < m && int(start[l]) < lo
-		if w == 0 {
-			own, lead = 0, false
-		}
-		if w > 0 {
-			shards[w-1].OwnHi = l
-		}
-		shards[w] = SortedShard{Lo: lo, Hi: hi, OwnLo: own, OwnHi: m, LeadPartial: lead}
-	}
-	return shards
 }
 
 // fastIdent is the identity the monomorphic kernels scan from: 0 for
@@ -344,160 +295,6 @@ func SortedScanLabels[T any](op Op[T], fast FastOp, values []T, perm, start []in
 	return true
 }
 
-// sortedShardKernel is the monomorphic pass 1 over one shard; see
-// SortedShardScan for the contract.
-func sortedShardKernel[E fastElem](fast FastOp, values []E, perm, start []int32, multi, red []E, sh SortedShard, w int, leadTotal, carryOut []E, leadClosed, hasTrail []bool, stop func() bool) bool {
-	leadClosed[w], hasTrail[w] = false, false
-	ident := fastIdent[E](fast)
-	credit := cancelStride
-	l := sh.OwnLo
-	if sh.LeadPartial {
-		e := min(int(start[l+1]), sh.Hi)
-		acc, ok := sortedSegScan(fast, values, perm, multi, sh.Lo, e, ident, stop, &credit)
-		if !ok {
-			return false
-		}
-		if int(start[l+1]) <= sh.Hi {
-			leadTotal[w], leadClosed[w] = acc, true
-			l++
-		} else {
-			// The whole shard lies inside one run.
-			carryOut[w], hasTrail[w] = acc, true
-			return true
-		}
-	}
-	for ; l < sh.OwnHi; l++ {
-		acc, ok := sortedSegScan(fast, values, perm, multi, int(start[l]), int(start[l+1]), ident, stop, &credit)
-		if !ok {
-			return false
-		}
-		red[l] = acc
-	}
-	if m := len(start) - 1; sh.OwnHi < m && int(start[sh.OwnHi]) < sh.Hi {
-		acc, ok := sortedSegScan(fast, values, perm, multi, int(start[sh.OwnHi]), sh.Hi, ident, stop, &credit)
-		if !ok {
-			return false
-		}
-		carryOut[w], hasTrail[w] = acc, true
-	}
-	return true
-}
-
-// SortedShardScan is pass 1 of the parallel sorted engine over one
-// shard: complete owned runs are scanned from the identity (prefixes
-// into multi, totals into red); a leading partial run is scanned from
-// the identity with its portion total recorded in leadTotal[w] (run
-// closes inside the shard, leadClosed) or carryOut[w] (run covers the
-// whole shard, hasTrail); a trailing run left open at Hi records its
-// portion in carryOut[w] with hasTrail. The prefixes of a leading
-// partial are provisional until SortedLeadApply rewrites them with the
-// stitched carry. Results land in the w-indexed slices so the
-// monomorphic kernels can write them without boxing.
-func SortedShardScan[T any](op Op[T], fast FastOp, values []T, perm, start []int32, multi, red []T, sh SortedShard, w int, leadTotal, carryOut []T, leadClosed, hasTrail []bool, hook FaultHook, stop func() bool) bool {
-	switch vs := any(values).(type) {
-	case []int64:
-		if fastSegI64(fast) {
-			return sortedShardKernel(fast, vs, perm, start, asI64(multi), asI64(red), sh, w, asI64(leadTotal), asI64(carryOut), leadClosed, hasTrail, stop)
-		}
-	case []float64:
-		if fastSegF64(fast) {
-			return sortedShardKernel(fast, vs, perm, start, asF64(multi), asF64(red), sh, w, asF64(leadTotal), asF64(carryOut), leadClosed, hasTrail, stop)
-		}
-	}
-	leadClosed[w], hasTrail[w] = false, false
-	credit := cancelStride
-	l := sh.OwnLo
-	if sh.LeadPartial {
-		e := min(int(start[l+1]), sh.Hi)
-		acc, ok := sortedSegGeneric(op, PhaseSortedScan, values, perm, multi, sh.Lo, e, op.Identity, hook, stop, &credit)
-		if !ok {
-			return false
-		}
-		if int(start[l+1]) <= sh.Hi {
-			leadTotal[w], leadClosed[w] = acc, true
-			l++
-		} else {
-			carryOut[w], hasTrail[w] = acc, true
-			return true
-		}
-	}
-	for ; l < sh.OwnHi; l++ {
-		acc, ok := sortedSegGeneric(op, PhaseSortedScan, values, perm, multi, int(start[l]), int(start[l+1]), op.Identity, hook, stop, &credit)
-		if !ok {
-			return false
-		}
-		red[l] = acc
-	}
-	if m := len(start) - 1; sh.OwnHi < m && int(start[sh.OwnHi]) < sh.Hi {
-		acc, ok := sortedSegGeneric(op, PhaseSortedScan, values, perm, multi, int(start[sh.OwnHi]), sh.Hi, op.Identity, hook, stop, &credit)
-		if !ok {
-			return false
-		}
-		carryOut[w], hasTrail[w] = acc, true
-	}
-	return true
-}
-
-// SortedStitch is the sequential cross-shard carry propagation (the
-// Blelloch-style middle step, O(workers)): walking the shards in
-// order, it records each shard's carry-in (the running value of the
-// run open at its Lo), completes the reductions of straddling runs
-// into red, and resets the carry at every run boundary. It reports
-// whether any shard has a leading partial run — i.e. whether a
-// SortedLeadApply pass is needed to finalize prefixes.
-func SortedStitch[T any](op Op[T], shards []SortedShard, leadTotal, carryOut, carryIn []T, leadClosed, hasTrail []bool, red []T, hook FaultHook) bool {
-	needApply := false
-	carry := op.Identity
-	for w, sh := range shards {
-		carryIn[w] = carry
-		if sh.LeadPartial {
-			needApply = true
-			if hook != nil {
-				hook.Combine(PhaseSortedStitch, sh.OwnLo)
-			}
-			if !leadClosed[w] {
-				// The run covers the whole shard; keep accumulating.
-				carry = op.Combine(carry, carryOut[w])
-				continue
-			}
-			red[sh.OwnLo] = op.Combine(carry, leadTotal[w])
-		}
-		if hasTrail[w] {
-			carry = carryOut[w]
-		} else {
-			carry = op.Identity
-		}
-	}
-	return needApply
-}
-
-// SortedLeadApply is pass 2 for one shard: rescan the leading partial
-// run's portion with the stitched carry-in as the starting
-// accumulator, overwriting the provisional prefixes from pass 1.
-// Shards without a leading partial return immediately; reduce-only
-// runs never need this pass.
-func SortedLeadApply[T any](op Op[T], fast FastOp, values []T, perm, start []int32, multi []T, sh SortedShard, w int, carryIn []T, hook FaultHook, stop func() bool) bool {
-	if !sh.LeadPartial {
-		return true
-	}
-	e := min(int(start[sh.OwnLo+1]), sh.Hi)
-	credit := cancelStride
-	switch vs := any(values).(type) {
-	case []int64:
-		if fastSegI64(fast) {
-			_, ok := sortedSegScan(fast, vs, perm, asI64(multi), sh.Lo, e, asI64(carryIn)[w], stop, &credit)
-			return ok
-		}
-	case []float64:
-		if fastSegF64(fast) {
-			_, ok := sortedSegScan(fast, vs, perm, asF64(multi), sh.Lo, e, asF64(carryIn)[w], stop, &credit)
-			return ok
-		}
-	}
-	_, ok := sortedSegGeneric(op, PhaseSortedApply, values, perm, multi, sh.Lo, e, carryIn[w], hook, stop, &credit)
-	return ok
-}
-
 // ctxStop adapts a context to the kernels' stop callback; nil context
 // means no polling (and no closure).
 func ctxStop(cfg Config) func() bool {
@@ -511,10 +308,23 @@ func ctxStop(cfg Config) func() bool {
 // Sorted runs the multiprefix through the sorted segmented-scan
 // engine: counting-sort the labels, scan the contiguous runs, with
 // prefixes scattered back through the permutation. The one-shot form
-// is serial (the sort is rebuilt per call); the parallel shard
-// decomposition is reached through the backend Plan pipeline, where
-// the permutation and shard bounds are plan-time structures.
-func Sorted[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
+// is serial (the sort is rebuilt per call); the multi-worker form is
+// the backend Plan's sort-scan executor, where the permutation and
+// shard rows are plan-time structures.
+func Sorted[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return sortedOnce(op, values, labels, m, cfg, true)
+}
+
+// SortedReduce is the reductions-only multireduce through the sorted
+// engine.
+func SortedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	res, err := sortedOnce(op, values, labels, m, cfg, false)
+	return res.Reductions, err
+}
+
+// sortedOnce is the one-shot sorted engine; Multi is left nil when
+// withMulti is false.
+func sortedOnce[T any](op Op[T], values []T, labels []int, m int, cfg Config, withMulti bool) (res Result[T], err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
@@ -527,82 +337,14 @@ func Sorted[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res R
 	}
 	phase := PhaseSortedScan
 	defer recoverEnginePanic("sorted", &phase, &err)
-	multi := make([]T, len(values))
+	var multi []T
+	if withMulti {
+		multi = make([]T, len(values))
+	}
 	red := make([]T, m)
 	fast := op.fastKind(cfg.FaultHook)
 	if !SortedScanLabels(op, fast, values, idx.Perm, idx.Start, multi, red, 0, m, cfg.FaultHook, ctxStop(cfg)) {
 		return Result[T]{}, cfg.Ctx.Err()
 	}
 	return Result[T]{Multi: multi, Reductions: red}, nil
-}
-
-// SortedReduce is the reductions-only multireduce through the sorted
-// engine.
-func SortedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	idx, err := BuildSortedIndex(labels, m)
-	if err != nil {
-		return nil, err
-	}
-	phase := PhaseSortedScan
-	defer recoverEnginePanic("sorted", &phase, &err)
-	red := make([]T, m)
-	fast := op.fastKind(cfg.FaultHook)
-	if !SortedScanLabels(op, fast, values, idx.Perm, idx.Start, nil, red, 0, m, cfg.FaultHook, ctxStop(cfg)) {
-		return nil, cfg.Ctx.Err()
-	}
-	return red, nil
-}
-
-// Sorted is Sorted drawing the permutation, run bounds and result
-// storage from b — allocation-free in steady state.
-func (b *Buffers[T]) Sorted(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	if len(values) > maxSortedN {
-		return Result[T]{}, wrapBadInput("n=%d exceeds the sorted engine's %d-element limit", len(values), maxSortedN)
-	}
-	perm, start := b.growSortedIndex(len(values), m)
-	BuildSortedIndexInto(perm, start, labels)
-	phase := PhaseSortedScan
-	defer recoverEnginePanic("sorted", &phase, &err)
-	multi := b.growMulti(len(values))
-	red := b.growRed(m)
-	fast := op.fastKind(cfg.FaultHook)
-	if !SortedScanLabels(op, fast, values, perm, start, multi, red, 0, m, cfg.FaultHook, ctxStop(cfg)) {
-		return Result[T]{}, cfg.Ctx.Err()
-	}
-	return Result[T]{Multi: multi, Reductions: red}, nil
-}
-
-// SortedReduce is SortedReduce on pooled state.
-func (b *Buffers[T]) SortedReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	if len(values) > maxSortedN {
-		return nil, wrapBadInput("n=%d exceeds the sorted engine's %d-element limit", len(values), maxSortedN)
-	}
-	perm, start := b.growSortedIndex(len(values), m)
-	BuildSortedIndexInto(perm, start, labels)
-	phase := PhaseSortedScan
-	defer recoverEnginePanic("sorted", &phase, &err)
-	red := b.growRed(m)
-	fast := op.fastKind(cfg.FaultHook)
-	if !SortedScanLabels(op, fast, values, perm, start, nil, red, 0, m, cfg.FaultHook, ctxStop(cfg)) {
-		return nil, cfg.Ctx.Err()
-	}
-	return red, nil
 }

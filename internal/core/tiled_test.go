@@ -183,59 +183,6 @@ func TestTiledScanLabelsFloat64(t *testing.T) {
 	}
 }
 
-// TestTiledShardScanParity runs the tiled shard-scan / stitch / lead-
-// apply pipeline by hand across worker counts — the exact sequence the
-// planned parallel path runs — against the serial reference. The carry
-// slots written by the tiled pass must compose with the unchanged
-// SortedStitch and SortedLeadApply.
-func TestTiledShardScanParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(84))
-	for _, tc := range genCases(rng) {
-		if len(tc.values) == 0 {
-			continue
-		}
-		idx, err := BuildSortedIndex(tc.labels, tc.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range []Op[int64]{AddInt64, MaxInt64, MinInt64, AndInt64, OrInt64, XorInt64} {
-			want := mustSerialOp(t, op, tc.values, tc.labels, tc.m)
-			for workers := 2; workers <= 5; workers++ {
-				for _, window := range []int{8, 64} {
-					multi := make([]int64, len(tc.values))
-					red := make([]int64, tc.m)
-					leadTotal := make([]int64, workers)
-					carryOut := make([]int64, workers)
-					carryIn := make([]int64, workers)
-					leadClosed := make([]bool, workers)
-					hasTrail := make([]bool, workers)
-					shards := SortedShards(idx.Start, len(tc.values), workers)
-					tiles := make([]*TileSegs, workers)
-					for w, sh := range shards {
-						tiles[w] = buildTiles(idx.Perm, idx.Start, sh.Lo, sh.Hi, window)
-					}
-					for w, sh := range shards {
-						if !SortedTiledShardScan(op, op.Fast, tc.values, idx.Perm, idx.Start, multi, red, tiles[w], sh, w, leadTotal, carryOut, leadClosed, hasTrail, nil) {
-							t.Fatalf("%s/%s/w%d/win%d: tiled shard scan aborted", tc.name, op.Name, workers, window)
-						}
-					}
-					needApply := SortedStitch(op, shards, leadTotal, carryOut, carryIn, leadClosed, hasTrail, red, nil)
-					if needApply {
-						for w, sh := range shards {
-							if !SortedLeadApply(op, op.Fast, tc.values, idx.Perm, idx.Start, multi, sh, w, carryIn, nil, nil) {
-								t.Fatalf("%s/%s/w%d/win%d: lead apply aborted", tc.name, op.Name, workers, window)
-							}
-						}
-					}
-					if !equalInt64(multi, want.Multi) || !equalInt64(red, want.Reductions) {
-						t.Fatalf("%s/%s: %d-shard win%d tiled pipeline differs from serial", tc.name, op.Name, workers, window)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestTiledCancellation: the tiled scan honors the stop/credit
 // cancellation cadence and reports an abort like the untiled kernels.
 func TestTiledCancellation(t *testing.T) {

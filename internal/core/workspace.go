@@ -52,10 +52,8 @@ func (ws *Workspace[T]) Release(b *Buffers[T]) {
 type Buffers[T any] struct {
 	multi []T
 	red   []T
-	aux   []T     // values scratch for derived helpers (EnumerateIn)
-	lab   []int   // labels scratch for derived helpers (SegmentedScanIn)
-	perm  []int32 // sorted engine: counting-sort permutation
-	start []int32 // sorted engine: per-label run bounds (len m+1)
+	aux   []T   // values scratch for derived helpers (EnumerateIn)
+	lab   []int // labels scratch for derived helpers (SegmentedScanIn)
 	arena arena[T]
 
 	team   *par.Team
@@ -71,14 +69,6 @@ func (b *Buffers[T]) growMulti(n int) []T {
 func (b *Buffers[T]) growRed(m int) []T {
 	b.red = grown(b.red, m)
 	return b.red
-}
-
-// growSortedIndex sizes the pooled counting-sort permutation and run
-// bounds for an (n, m) problem.
-func (b *Buffers[T]) growSortedIndex(n, m int) (perm, start []int32) {
-	b.perm = grown(b.perm, n)
-	b.start = grown(b.start, m+1)
-	return b.perm, b.start
 }
 
 // ensureTeam returns a persistent worker team of exactly the given

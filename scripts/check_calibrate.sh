@@ -45,8 +45,8 @@ RUNGS=$(awk '$1 == "random_ns" { print NF - 1 }' "$BIN/probe.out")
 if [ "${RUNGS:-0}" -lt 3 ]; then
   echo "calibrate-smoke: latency ladder too short ($RUNGS rungs)"; cat "$BIN/probe.out"; exit 1
 fi
-# Every auto decision must resolve to a registered engine name.
-if awk '$1 == "auto" && $NF !~ /^(serial|sorted|sharded|chunked|parallel)$/ { exit 1 }' "$BIN/probe.out"; then :; else
+# Every auto decision must resolve to one of Auto's candidates.
+if awk '$1 == "auto" && $NF !~ /^(serial|chunked|parallel)$/ { exit 1 }' "$BIN/probe.out"; then :; else
   echo "calibrate-smoke: unresolved auto decision"; cat "$BIN/probe.out"; exit 1
 fi
 
