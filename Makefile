@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test check check-service calibrate-smoke shard-smoke vet lint race race-matrix fuzz-smoke bench bench-smoke bench-json bench-service
+.PHONY: all build test check check-service calibrate-smoke vet lint race race-matrix fuzz-smoke bench bench-smoke bench-json bench-service
 
 all: build test
 
@@ -32,13 +32,13 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the engine suites: the backend and core
-# packages (worker teams, batch barriers, the carry exchange) plus the
+# packages (worker teams, batch barriers, the chunk merges) plus the
 # server's stateful-plan traffic (concurrent update/query/run/evict)
 # re-run under the race detector with fresh scheduling (-count=2) — a
 # small size matrix lives in the tests themselves (worker counts 1..8
 # × the carry-edge label shapes).
 race-matrix:
-	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental' ./internal/backend ./internal/core
+	$(GO) test -race -count=2 -run 'Sorted|Batch|Chunk|Plan|Update|Incremental' ./internal/backend ./internal/core
 	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
@@ -54,13 +54,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzTiledParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
-	$(GO) test -run '^$$' -fuzz '^FuzzShardedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer
 # suite), race, fuzz smoke, a one-iteration pass over every benchmark
 # so a broken benchmark cannot land silently, and the out-of-process
 # service smoke (boot mpd, chaos request, drain).
-check: lint race race-matrix fuzz-smoke bench-smoke calibrate-smoke shard-smoke check-service
+check: lint race race-matrix fuzz-smoke bench-smoke calibrate-smoke check-service
 	$(GO) build -o /dev/null ./cmd/benchjson
 
 # Service smoke gate: builds mpd + mpload, boots the daemon on a
@@ -75,12 +74,6 @@ check-service:
 # uses for determinism.
 calibrate-smoke:
 	bash ./scripts/check_calibrate.sh
-
-# Sharded-backend smoke gate: bit-identical parity against serial at
-# S ∈ {1, 2, 7}, the carry exchange's measured round count equals
-# ⌈log₂S⌉, and the simulated multi-node mode prices the schedule.
-shard-smoke:
-	bash ./scripts/check_shard.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

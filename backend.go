@@ -18,8 +18,8 @@ type Backend[T any] = backend.Backend[T]
 // portable backends. Results alias plan-owned storage, valid until the
 // next call on the same Plan. RunBatch/ReduceBatch evaluate k value
 // vectors in one call into caller-owned destinations — fused on the
-// serial, sorted, sharded, chunked and vector plans (one worker-team
-// round for the whole batch, no result copies), a plain loop
+// serial, sorted, chunked and vector plans (no result copies; one
+// worker-team round for the whole batch on chunked), a plain loop
 // elsewhere.
 //
 // A Plan is also a stateful resource: Bind installs a resident value
@@ -35,19 +35,9 @@ type Plan[T any] = backend.Plan[T]
 // registry; it wraps ErrBadInput and lists the known names.
 type UnknownBackendError = backend.UnknownBackendError
 
-// ShardStats describes a sharded plan's carry-exchange communication
-// schedule: shard count, the ⌈log₂S⌉ round bound, the rounds a run
-// actually executed, and the bytes each round moves between shards.
-// Its SimNs method prices the schedule on a modeled interconnect.
-// Populated by plans on the sort-scan engine — the "sorted" and
-// "sharded" backends; see Plan.ShardStats.
-type ShardStats = backend.ShardStats
-
 // Backends lists the registered backend names: "auto" (adaptive,
-// default), "serial", "sorted" (segmented scan over a stable
-// counting-sort permutation; best planned), "sharded" (the same scan
-// split across shards with a log-round carry exchange), "spinetree",
-// "chunked",
+// default), "serial", "sorted" (a serial segmented scan over a stable
+// counting-sort permutation; best planned), "spinetree", "chunked",
 // "parallel" (the portable engines), "vector" (the simulated CRAY
 // Y-MP port; int64/float64/int32 only) and "pram" (the simulated
 // PRAM; int64 multiprefix-PLUS only).

@@ -97,38 +97,6 @@ type TiledEntry struct {
 	TiledVsSerial   float64 `json:"tiled_vs_serial_speedup"`
 }
 
-// ShardEntry compares the sharded backend at S = GOMAXPROCS shards
-// against the single-shard sorted plan on the same shape — the
-// shard-scaling headline. IdealFraction is Speedup / Shards: 1.0 is
-// perfect linear scaling, and the carry exchange's ⌈log₂S⌉ barrier
-// rounds plus the second full pass bound how close a real host gets.
-type ShardEntry struct {
-	N              int     `json:"n"`
-	M              int     `json:"m"`
-	Shards         int     `json:"shards"`
-	Rounds         int     `json:"rounds"`
-	NsSortedSingle float64 `json:"ns_per_op_sorted_single"`
-	NsSharded      float64 `json:"ns_per_op_sharded"`
-	Speedup        float64 `json:"speedup"`
-	IdealFraction  float64 `json:"ideal_fraction"`
-}
-
-// CarryEntry records the carry-exchange communication schedule at one
-// shard count: the ⌈log₂S⌉ round bound, the rounds a run actually
-// executed (always equal — the exchange is round-optimal by
-// construction, and shard-smoke asserts the same through cmd/mp), the
-// bytes each round moves, and the schedule priced on a modeled
-// 500 ns / 10 GB/s interconnect.
-type CarryEntry struct {
-	Shards         int     `json:"shards"`
-	M              int     `json:"m"`
-	Rounds         int     `json:"rounds"`
-	MeasuredRounds int     `json:"measured_rounds"`
-	BytesPerRound  []int   `json:"bytes_per_round"`
-	TotalBytes     int     `json:"total_bytes"`
-	SimNs          float64 `json:"simnet_ns_500ns_10gbps"`
-}
-
 // CalDecision is one AutoChoice outcome under the measured probe.
 type CalDecision struct {
 	N      int    `json:"n"`
@@ -136,9 +104,10 @@ type CalDecision struct {
 	Choice string `json:"choice"`
 }
 
-// Calibration records the measured memory probe feeding Auto's
-// serial-vs-sorted cost model, and the decisions it produces on the
-// snapshot's shapes.
+// Calibration records the measured memory probe — the source of the
+// sorted plans' tile budget and the incremental plans' update burst;
+// Auto's engine choice does not consult it — and the engine Auto picks
+// on the snapshot's shapes.
 type Calibration struct {
 	StreamGBps float64       `json:"stream_gbps"`
 	CopyGBps   float64       `json:"copy_gbps"`
@@ -190,13 +159,13 @@ type Report struct {
 	GOOS           string        `json:"goos"`
 	GOARCH         string        `json:"goarch"`
 	GOMAXPROCS     int           `json:"gomaxprocs"`
+	NumCPU         int           `json:"num_cpu"`
+	Host           string        `json:"host"`
 	Workers        int           `json:"workers"`
 	Engines        []Entry       `json:"engines"`
 	PlanReuse      []PlanEntry   `json:"plan_reuse"`
 	SortedVsSerial []SortedEntry `json:"sorted_vs_serial"`
 	TiledVsSerial  []TiledEntry  `json:"tiled_vs_serial"`
-	ShardScaling   []ShardEntry  `json:"shard_scaling"`
-	CarryRounds    []CarryEntry  `json:"carry_rounds"`
 	Calibration    *Calibration  `json:"calibration"`
 	Batch          []BatchEntry  `json:"batch"`
 	UpdateVsRerun  []UpdateEntry `json:"update_vs_rerun"`
@@ -341,7 +310,7 @@ func main() {
 	log.SetPrefix("benchjson: ")
 	out := flag.String("o", "BENCH_engines.json", "output path")
 	quick := flag.Bool("quick", false, "single reduced size (CI smoke)")
-	backends := flag.String("backend", "serial,sorted,sharded,spinetree,chunked,parallel,auto",
+	backends := flag.String("backend", "serial,sorted,spinetree,chunked,parallel,auto",
 		"comma-separated backends for the plan-reuse section (registry names: "+
 			strings.Join(backend.Names(), ", ")+")")
 	flag.Parse()
@@ -353,11 +322,17 @@ func main() {
 		sizes = sizes[:1]
 	}
 
+	host, err := os.Hostname()
+	if err != nil {
+		host = "unknown"
+	}
 	report := Report{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Host:       host,
 		Workers:    workers,
 	}
 
@@ -547,101 +522,8 @@ func main() {
 		}
 	}
 
-	// Shard scaling: the sharded plan at S = GOMAXPROCS shards against
-	// the single-shard (serial) sorted plan on the same shape — what the
-	// round-efficient carry exchange buys over the engine it partitions.
-	// The ratio is recorded honestly: ideal_fraction reports how much of
-	// the S-way linear ideal the host delivers after the ⌈log₂S⌉ barrier
-	// rounds and the second full pass take their share.
-	{
-		s := runtime.GOMAXPROCS(0)
-		shapes := []struct{ n, m int }{{1 << 18, 1 << 10}, {1 << 22, 1 << 10}}
-		if *quick {
-			shapes = shapes[:1]
-			shapes[0].n = 1 << 16
-		}
-		sortedBe, err := backend.Open[int64]("sorted")
-		if err != nil {
-			log.Fatal(err)
-		}
-		shardedBe, err := backend.Open[int64]("sharded")
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, sh := range shapes {
-			values, labels := input(sh.n, sh.m)
-			single, err := sortedBe.Plan(core.AddInt64, labels, sh.m, core.Config{Workers: 1})
-			if err != nil {
-				log.Fatal(err)
-			}
-			singleNs := measureMin(func() {
-				if _, err := single.Run(values); err != nil {
-					log.Fatal(err)
-				}
-			})
-			single.Close()
-			plan, err := shardedBe.Plan(core.AddInt64, labels, sh.m, core.Config{Shards: s})
-			if err != nil {
-				log.Fatal(err)
-			}
-			shardedNs := measureMin(func() {
-				if _, err := plan.Run(values); err != nil {
-					log.Fatal(err)
-				}
-			})
-			st, _ := plan.ShardStats()
-			plan.Close()
-			entry := ShardEntry{
-				N: sh.n, M: sh.m, Shards: st.Shards, Rounds: st.Rounds,
-				NsSortedSingle: singleNs, NsSharded: shardedNs,
-				Speedup:       singleNs / shardedNs,
-				IdealFraction: singleNs / shardedNs / float64(st.Shards),
-			}
-			report.ShardScaling = append(report.ShardScaling, entry)
-			fmt.Printf("%-10s scaling  n=%-8d m=%-5d s=%-3d %10.0f ns single %10.0f ns sharded %5.2fx (%4.2f of ideal)\n",
-				"sharded", sh.n, sh.m, st.Shards, singleNs, shardedNs, entry.Speedup, entry.IdealFraction)
-		}
-	}
-
-	// Carry rounds: the exchange schedule the sharded plan runs at each
-	// shard count — round bound vs rounds executed (equal by
-	// construction: the exchange is a ⌈log₂S⌉ Hillis–Steele exscan, not
-	// a serial stitch), per-round byte volume, and the schedule priced
-	// on a modeled 500 ns / 10 GB/s interconnect.
-	{
-		n, m := 1<<12, 1<<6
-		values, labels := input(n, m)
-		be, err := backend.Open[int64]("sharded")
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, s := range []int{1, 2, 4, 8} {
-			plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Shards: s})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := plan.Run(values); err != nil {
-				log.Fatal(err)
-			}
-			st, ok := plan.ShardStats()
-			plan.Close()
-			if !ok {
-				log.Fatalf("sharded plan at s=%d reported no shard stats", s)
-			}
-			report.CarryRounds = append(report.CarryRounds, CarryEntry{
-				Shards: st.Shards, M: m, Rounds: st.Rounds,
-				MeasuredRounds: st.MeasuredRounds,
-				BytesPerRound:  st.BytesPerRound, TotalBytes: st.TotalBytes,
-				SimNs: st.SimNs(500, 10),
-			})
-			fmt.Printf("%-10s rounds   s=%-3d m=%-5d rounds=%d measured=%d bytes=%-8d simnet %8.0f ns\n",
-				"sharded", st.Shards, m, st.Rounds, st.MeasuredRounds, st.TotalBytes, st.SimNs(500, 10))
-		}
-	}
-
-	// Calibration: the measured memory probe behind Auto's
-	// serial-vs-sorted model, and the decisions it yields on the
-	// snapshot's shapes at one worker.
+	// Calibration: the measured memory probe and Auto's decisions on
+	// the snapshot's shapes at one worker.
 	{
 		p := core.MeasureMemProbe()
 		c := &Calibration{

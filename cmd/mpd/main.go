@@ -51,7 +51,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8722", "listen address (host:port; :0 picks a free port)")
-		backendName  = flag.String("backend", "auto", "default plan backend: auto, serial, sorted, sharded, chunked, parallel, spinetree")
+		backendName  = flag.String("backend", "auto", "default plan backend: "+strings.Join(server.ServedBackends(), ", "))
 		workers      = flag.Int("workers", 0, "engine workers per plan (0 = GOMAXPROCS)")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently admitted compute requests (0 = 4x GOMAXPROCS); excess is shed with 429")
 		maxBody      = flag.Int64("max-body", 0, "max request body bytes (0 = 64 MiB)")

@@ -23,7 +23,6 @@ const (
 	kindAuto kind = iota
 	kindSerial
 	kindSorted
-	kindSharded
 	kindSpinetree
 	kindChunked
 	kindParallel
@@ -67,7 +66,6 @@ var registry = []struct {
 	{"auto", kindAuto},
 	{"serial", kindSerial},
 	{"sorted", kindSorted},
-	{"sharded", kindSharded},
 	{"spinetree", kindSpinetree},
 	{"chunked", kindChunked},
 	{"parallel", kindParallel},
@@ -152,8 +150,6 @@ func (b impl[T]) Compute(op core.Op[T], values []T, labels []int, m int, cfg cor
 		return core.Serial(op, values, labels, m)
 	case kindSorted:
 		return core.Sorted(op, values, labels, m, cfg)
-	case kindSharded:
-		return shardedCompute(b, op, values, labels, m, cfg)
 	case kindSpinetree:
 		return core.Spinetree(op, values, labels, m, cfg)
 	case kindChunked:
@@ -178,8 +174,6 @@ func (b impl[T]) Reduce(op core.Op[T], values []T, labels []int, m int, cfg core
 		return core.SerialReduce(op, values, labels, m)
 	case kindSorted:
 		return core.SortedReduce(op, values, labels, m, cfg)
-	case kindSharded:
-		return shardedReduce(b, op, values, labels, m, cfg)
 	case kindSpinetree:
 		return core.SpinetreeReduce(op, values, labels, m, cfg)
 	case kindChunked:
@@ -199,29 +193,6 @@ func (b impl[T]) Engine(cfg core.Config) core.Engine[T] {
 	return func(op core.Op[T], values []T, labels []int, m int) (core.Result[T], error) {
 		return b.Compute(op, values, labels, m, cfg)
 	}
-}
-
-// shardedCompute is the one-shot sharded entry: the engine's structures
-// are inherently planned (per-shard counting sorts, carry buffers, the
-// team), so a one-shot run builds the plan, evaluates once and closes
-// it. The result aliases plan storage, which stays valid after Close.
-func shardedCompute[T any](b impl[T], op core.Op[T], values []T, labels []int, m int, cfg core.Config) (core.Result[T], error) {
-	p, err := b.Plan(op, labels, m, cfg)
-	if err != nil {
-		return core.Result[T]{}, err
-	}
-	defer p.Close()
-	return p.Run(values)
-}
-
-// shardedReduce is the reductions-only one-shot sharded entry.
-func shardedReduce[T any](b impl[T], op core.Op[T], values []T, labels []int, m int, cfg core.Config) ([]T, error) {
-	p, err := b.Plan(op, labels, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.Reduce(values)
 }
 
 // ctxDone reports a pre-cancelled cfg.Ctx, so the serial backend

@@ -44,7 +44,7 @@ func backendCfg(name string) core.Config {
 }
 
 func TestNames(t *testing.T) {
-	want := []string{"auto", "serial", "sorted", "sharded", "spinetree", "chunked", "parallel", "vector", "pram"}
+	want := []string{"auto", "serial", "sorted", "spinetree", "chunked", "parallel", "vector", "pram"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

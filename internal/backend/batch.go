@@ -12,12 +12,12 @@ import (
 // with a copy into the caller's destination — and the serial,
 // sort-scan, chunked and vector plans run fused implementations that
 // write each vector's results directly into the caller's storage (no
-// copy) and, for the team-parallel plans, drive the worker team once
-// for the whole batch instead of once per vector.
+// copy) and, for the chunked plan, drive the worker team once for the
+// whole batch instead of once per vector.
 //
-// The fused team bodies synchronize with a fixed number of
-// inner-barrier arrivals per vector (two for chunked, 2+⌈log₂S⌉ for
-// sort-scan). That count is deterministic, so a worker that aborts
+// The fused chunked body synchronizes with a fixed number of
+// inner-barrier arrivals per vector (two). That count is
+// deterministic, so a worker that aborts
 // (recovered panic, cancellation) drains its remaining arrivals with
 // par.Barrier.DrainAwait instead of Drop — siblings stay aligned and
 // the team survives for the next call.

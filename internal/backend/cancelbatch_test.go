@@ -14,7 +14,7 @@ import (
 // k-th sorted-scan combine — a deterministic way to cancel a batch
 // between two of its vectors: scan combines number exactly n per
 // vector, so firing at n*v+1 cancels at the first combine of vector
-// v. Safe for concurrent use by shard workers.
+// v.
 type cancelAtScanCombine struct {
 	at     int64
 	count  atomic.Int64

@@ -204,8 +204,8 @@ func (p *Plan[T]) bindLocked(values []T) error {
 
 // prepareIncremental is the one-time (first Bind) setup: resident and
 // snapshot storage, the maintenance tier, and — for the Fenwick tiers
-// — the sorted index (reusing a single-shard sort-scan plan's own
-// permutation), its inverse, the tree and the calibrated burst.
+// — the sorted index (reusing a sort-scan plan's own permutation),
+// its inverse, the tree and the calibrated burst.
 //
 //mp:locked
 func (p *Plan[T]) prepareIncremental() {
@@ -219,10 +219,8 @@ func (p *Plan[T]) prepareIncremental() {
 	if p.imode == incNone {
 		return
 	}
-	if e, ok := p.exec.(*sortExec[T]); ok && len(e.start) == 1 {
-		// One shard is one global sort: alias it. With S > 1 the
-		// permutation is sorted per shard and cannot serve.
-		p.iperm, p.istart = e.perm, e.start[0]
+	if e, ok := p.exec.(*sortExec[T]); ok {
+		p.iperm, p.istart = e.perm, e.start
 	} else {
 		p.iperm = make([]int32, p.n)
 		p.istart = make([]int32, p.m+1)

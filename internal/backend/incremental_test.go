@@ -73,10 +73,10 @@ func checkIncParity[T comparable](t *testing.T, name string, p *Plan[T], op core
 // TestIncrementalUpdateParity drives a random update/query stream
 // through every registered backend's plan and checks each answer
 // against a full serial recompute. int64 sum is exact under any
-// association, so every backend must agree bit for bit. The two extra
-// multi-shard sort-scan plans pin the index rule deterministically
-// (independent of GOMAXPROCS): their permutation is sorted per shard,
-// so the Fenwick tier must build its own global sort, not alias it.
+// association, so every backend must agree bit for bit. A sort-scan
+// plan's permutation is the one global counting sort at any worker
+// count, so the Fenwick tier must alias it rather than build its own;
+// the extra Workers:2 plan pins that independently of GOMAXPROCS.
 func TestIncrementalUpdateParity(t *testing.T) {
 	const n, m = 96, 7
 	values, labels, _ := refInput(7, n, m)
@@ -88,12 +88,18 @@ func TestIncrementalUpdateParity(t *testing.T) {
 	for _, name := range Names() {
 		cases = append(cases, planCase{name, backendCfg(name)})
 	}
-	cases = append(cases, planCase{"sorted", core.Config{Workers: 2}}, planCase{"sharded", core.Config{Shards: 3}})
+	cases = append(cases, planCase{"sorted", core.Config{Workers: 2}})
 	for _, tc := range cases {
 		name := tc.name
 		p := incPlan(t, name, core.AddInt64, labels, m, tc.cfg)
 		if err := p.Bind(values); err != nil {
 			t.Fatalf("%s: Bind: %v", name, err)
+		}
+		if name == "sorted" {
+			e, ok := p.exec.(*sortExec[int64])
+			if !ok || &p.iperm[0] != &e.perm[0] || &p.istart[0] != &e.start[0] {
+				t.Fatalf("%s/w%d: Fenwick index does not alias the plan's counting sort", name, tc.cfg.Workers)
+			}
 		}
 		vals := append([]int64(nil), values...)
 		rng := rand.New(rand.NewSource(11))

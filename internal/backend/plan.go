@@ -100,7 +100,7 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	imode incMode // maintenance tier (operator + element type)
 	//mp:guarded-by mu
-	iperm []int32 // counting-sort permutation (aliases a one-shard sort-scan plan's)
+	iperm []int32 // counting-sort permutation (aliases a sort-scan plan's)
 	//mp:guarded-by mu
 	istart []int32 // per-label run bounds, len m+1 (aliased likewise)
 	//mp:guarded-by mu
@@ -171,10 +171,9 @@ func (g *planGuard) interrupted(ctx context.Context) bool {
 	return false
 }
 
-// teamState is the worker team of a team-parallel executor (chunked,
-// sort-scan; nil for a single shard) plus the per-call hand-off its
-// bodies read: set by the calling goroutine before team.Run, cleared
-// after.
+// teamState is the worker team of the chunked executor plus the
+// per-call hand-off its bodies read: set by the calling goroutine
+// before team.Run, cleared after.
 type teamState[T any] struct {
 	team *par.Team
 	//mp:guarded-by mu
@@ -269,9 +268,7 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 func (p *Plan[T]) newExecutor(k kind) (executor[T], error) {
 	switch k {
 	case kindSorted:
-		return newSortExec(p, "plan/sorted")
-	case kindSharded:
-		return newSortExec(p, "plan/sharded")
+		return newSortExec(p)
 	case kindChunked:
 		return newChunkExec(p), nil
 	case kindSpinetree, kindParallel:

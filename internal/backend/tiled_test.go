@@ -20,8 +20,8 @@ func tiledCfg(workers int) core.Config {
 	}
 }
 
-// TestTiledPlanParity drives the tiled sorted plan — serial and
-// team-parallel, both fast ops — across the carry-stressing label
+// TestTiledPlanParity drives the tiled sorted plan — every fast op, at
+// worker counts the plan ignores — across the run-stressing label
 // shapes and checks Run and Reduce against the serial reference.
 func TestTiledPlanParity(t *testing.T) {
 	const n = 1023
@@ -73,11 +73,8 @@ func TestTiledPlanParity(t *testing.T) {
 // TestTiledPlanFloat64BitExact pins the tiled kernels' zero-
 // reassociation guarantee on float64: sums over values spanning many
 // magnitudes (where any re-grouping changes rounding), NaN and ±0 must
-// reproduce the untiled combine order bit for bit. At one worker the
-// untiled order IS the serial order, so the reference is core.Serial;
-// at four workers the carry exchange re-associates each label's fold
-// the same way tiled or not, so the reference is the untiled plan at the
-// same worker count (tile budget far above n, so no window exists).
+// reproduce the serial combine order bit for bit, at every worker
+// count (a sorted plan ignores Workers).
 func TestTiledPlanFloat64BitExact(t *testing.T) {
 	const n, m = 2000, 13
 	rng := rand.New(rand.NewSource(73))
@@ -90,41 +87,16 @@ func TestTiledPlanFloat64BitExact(t *testing.T) {
 	values[100] = math.NaN()
 	values[200] = math.Copysign(0, -1)
 	values[300] = 0
-	untiledCfg := func(workers int) core.Config {
-		return core.Config{
-			Workers: workers,
-			AutoCal: &core.AutoCalibration{TileBytes: 1 << 30},
-		}
-	}
 	for _, op := range []core.Op[float64]{core.AddFloat64, core.MaxFloat64} {
 		be, err := Open[float64]("sorted")
 		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := core.Serial(op, values, labels, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 4} {
-			var wantMulti, wantRed []float64
-			if workers == 1 {
-				want, err := core.Serial(op, values, labels, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantMulti, wantRed = want.Multi, want.Reductions
-			} else {
-				ref, err := be.Plan(op, labels, m, untiledCfg(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.Tiled() {
-					t.Fatalf("%s/w%d: reference plan unexpectedly tiled", op.Name, workers)
-				}
-				res, err := ref.Run(values)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantMulti = append([]float64(nil), res.Multi...)
-				wantRed = append([]float64(nil), res.Reductions...)
-				ref.Close()
-			}
 			plan, err := be.Plan(op, labels, m, tiledCfg(workers))
 			if err != nil {
 				t.Fatal(err)
@@ -136,16 +108,8 @@ func TestTiledPlanFloat64BitExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/w%d: %v", op.Name, workers, err)
 			}
-			for i := range wantMulti {
-				if math.Float64bits(res.Multi[i]) != math.Float64bits(wantMulti[i]) {
-					t.Fatalf("%s/w%d: Multi[%d] = %x, want %x (not bit-identical)",
-						op.Name, workers, i, math.Float64bits(res.Multi[i]), math.Float64bits(wantMulti[i]))
-				}
-			}
-			for l := range wantRed {
-				if math.Float64bits(res.Reductions[l]) != math.Float64bits(wantRed[l]) {
-					t.Fatalf("%s/w%d: Reductions[%d] not bit-identical", op.Name, workers, l)
-				}
+			if !bitsEqual(res.Multi, want.Multi) || !bitsEqual(res.Reductions, want.Reductions) {
+				t.Fatalf("%s/w%d: tiled Run not bit-identical to serial", op.Name, workers)
 			}
 			plan.Close()
 		}
@@ -153,7 +117,8 @@ func TestTiledPlanFloat64BitExact(t *testing.T) {
 }
 
 // TestTiledBatchParity covers the batch entry points through the tiled
-// dispatch: RunBatch and ReduceBatch on a tiled plan, serial and team.
+// dispatch: RunBatch and ReduceBatch on a tiled plan, at one and four
+// workers.
 func TestTiledBatchParity(t *testing.T) {
 	const n, m, k = 1500, 24, 3
 	rng := rand.New(rand.NewSource(75))
@@ -195,8 +160,8 @@ func TestTiledBatchParity(t *testing.T) {
 }
 
 // TestTiledPlanZeroAllocs extends the sorted engine's zero-allocation
-// pin to the tiled dispatch: a warm tiled plan — serial and team —
-// runs Run, Reduce, RunBatch and RunBatchCall at zero steady-state
+// pin to the tiled dispatch: a warm tiled plan, at one and four
+// workers, runs Run, Reduce, RunBatch and RunBatchCall at zero steady-state
 // heap allocations. The tile segments, like the counting sort, are
 // plan-owned storage built once.
 func TestTiledPlanZeroAllocs(t *testing.T) {
@@ -242,7 +207,7 @@ func TestTiledPlanZeroAllocs(t *testing.T) {
 			}
 		}
 		run()
-		runBatch() // warm the plan storage, team and batch scratch
+		runBatch() // warm the plan storage
 		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
 			t.Errorf("w%d: tiled Run %.1f allocs/run, want 0", workers, allocs)
 		}

@@ -14,16 +14,8 @@ const (
 	PhaseChunkMerge = "chunk-merge"
 	PhaseChunkApply = "chunk-apply"
 	// The sorted engine's fused segmented scan over the counting-sort
-	// permutation (also the sharded engine's per-shard totals scan).
+	// permutation.
 	PhaseSortedScan = "sorted-scan"
-	// The sharded engine's passes: the per-shard reduce-only scan that
-	// produces each shard's per-label totals row, the ⌈log₂S⌉-round
-	// exclusive-prefix carry exchange over those rows, and the seeded
-	// full rescan that folds each shard's carry-in back into its
-	// elements.
-	PhaseShardedScan     = "sharded-scan"
-	PhaseShardedExchange = "sharded-exchange"
-	PhaseShardedApply    = "sharded-apply"
 )
 
 // FaultHook receives engine-internal events so tests can inject faults

@@ -226,13 +226,12 @@ func sortedSegScan[E fastElem](fast FastOp, values []E, perm []int32, multi []E,
 	}
 }
 
-// sortedScanLabelsKernel is the monomorphic fused scan over the runs
-// of labels [l0, l1): prefixes into multi (through perm), run totals
-// into red.
-func sortedScanLabelsKernel[E fastElem](fast FastOp, values []E, perm, start []int32, multi, red []E, l0, l1 int, stop func() bool) bool {
+// sortedScanLabelsKernel is the monomorphic fused scan over every
+// run: prefixes into multi (through perm), run totals into red.
+func sortedScanLabelsKernel[E fastElem](fast FastOp, values []E, perm, start []int32, multi, red []E, stop func() bool) bool {
 	ident := fastIdent[E](fast)
 	credit := cancelStride
-	for l := l0; l < l1; l++ {
+	for l := range red {
 		acc, ok := sortedSegScan(fast, values, perm, multi, int(start[l]), int(start[l+1]), ident, stop, &credit)
 		if !ok {
 			return false
@@ -245,7 +244,7 @@ func sortedScanLabelsKernel[E fastElem](fast FastOp, values []E, perm, start []i
 // sortedSegGeneric is the generic counterpart of sortedSegScan: one
 // run segment with per-combine hook events (vector-index attributed,
 // like BucketRange) and stop polling.
-func sortedSegGeneric[T any](op Op[T], phase string, values []T, perm []int32, multi []T, s, e int, acc T, hook FaultHook, stop func() bool, credit *int) (T, bool) {
+func sortedSegGeneric[T any](op Op[T], values []T, perm []int32, multi []T, s, e int, acc T, hook FaultHook, stop func() bool, credit *int) (T, bool) {
 	for i := s; i < e; i++ {
 		if *credit <= 0 {
 			if stop != nil && stop() {
@@ -259,34 +258,35 @@ func sortedSegGeneric[T any](op Op[T], phase string, values []T, perm []int32, m
 			multi[p] = acc
 		}
 		if hook != nil {
-			hook.Combine(phase, int(p))
+			hook.Combine(PhaseSortedScan, int(p))
 		}
 		acc = op.Combine(acc, values[p])
 	}
 	return acc, true
 }
 
-// SortedScanLabels runs the fused segmented scan over the runs of
-// labels [l0, l1): multi[perm[i]] receives the running combine of the
-// run's earlier elements (nil multi for reduce-only), red[l] the run
-// total (the identity for empty runs). fast should be
-// op.FastKind(hook). stop, when non-nil, is polled roughly every
-// CancelStride elements; a true return aborts the scan (the caller
-// discards the partial output) and SortedScanLabels reports false.
-func SortedScanLabels[T any](op Op[T], fast FastOp, values []T, perm, start []int32, multi, red []T, l0, l1 int, hook FaultHook, stop func() bool) bool {
+// SortedScanLabels runs the fused segmented scan over every run of
+// the index: multi[perm[i]] receives the running combine of the run's
+// earlier elements (nil multi for reduce-only), red[l] the run total
+// (the identity for empty runs), with len(red) == len(start)-1. fast
+// should be op.FastKind(hook). stop, when non-nil, is polled roughly
+// every CancelStride elements; a true return aborts the scan (the
+// caller discards the partial output) and SortedScanLabels reports
+// false.
+func SortedScanLabels[T any](op Op[T], fast FastOp, values []T, perm, start []int32, multi, red []T, hook FaultHook, stop func() bool) bool {
 	switch vs := any(values).(type) {
 	case []int64:
 		if fastSegI64(fast) {
-			return sortedScanLabelsKernel(fast, vs, perm, start, asI64(multi), asI64(red), l0, l1, stop)
+			return sortedScanLabelsKernel(fast, vs, perm, start, asI64(multi), asI64(red), stop)
 		}
 	case []float64:
 		if fastSegF64(fast) {
-			return sortedScanLabelsKernel(fast, vs, perm, start, asF64(multi), asF64(red), l0, l1, stop)
+			return sortedScanLabelsKernel(fast, vs, perm, start, asF64(multi), asF64(red), stop)
 		}
 	}
 	credit := cancelStride
-	for l := l0; l < l1; l++ {
-		acc, ok := sortedSegGeneric(op, PhaseSortedScan, values, perm, multi, int(start[l]), int(start[l+1]), op.Identity, hook, stop, &credit)
+	for l := range red {
+		acc, ok := sortedSegGeneric(op, values, perm, multi, int(start[l]), int(start[l+1]), op.Identity, hook, stop, &credit)
 		if !ok {
 			return false
 		}
@@ -308,9 +308,8 @@ func ctxStop(cfg Config) func() bool {
 // Sorted runs the multiprefix through the sorted segmented-scan
 // engine: counting-sort the labels, scan the contiguous runs, with
 // prefixes scattered back through the permutation. The one-shot form
-// is serial (the sort is rebuilt per call); the multi-worker form is
-// the backend Plan's sort-scan executor, where the permutation and
-// shard rows are plan-time structures.
+// rebuilds the sort per call; the backend Plan's sort-scan executor
+// builds it once at plan time. Both are serial.
 func Sorted[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
 	return sortedOnce(op, values, labels, m, cfg, true)
 }
@@ -343,7 +342,7 @@ func sortedOnce[T any](op Op[T], values []T, labels []int, m int, cfg Config, wi
 	}
 	red := make([]T, m)
 	fast := op.fastKind(cfg.FaultHook)
-	if !SortedScanLabels(op, fast, values, idx.Perm, idx.Start, multi, red, 0, m, cfg.FaultHook, ctxStop(cfg)) {
+	if !SortedScanLabels(op, fast, values, idx.Perm, idx.Start, multi, red, cfg.FaultHook, ctxStop(cfg)) {
 		return Result[T]{}, cfg.Ctx.Err()
 	}
 	return Result[T]{Multi: multi, Reductions: red}, nil

@@ -132,7 +132,7 @@ func TestSortedCancellation(t *testing.T) {
 	red := make([]int64, 4)
 	polls := 0
 	stop := func() bool { polls++; return polls > 1 }
-	if SortedScanLabels(AddInt64, FastAdd, big, idx.Perm, idx.Start, multi, red, 0, 4, nil, stop) {
+	if SortedScanLabels(AddInt64, FastAdd, big, idx.Perm, idx.Start, multi, red, nil, stop) {
 		t.Fatal("stop never aborted the scan")
 	}
 	if polls < 2 {

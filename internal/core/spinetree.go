@@ -32,12 +32,6 @@ type Config struct {
 	SpineTest SpineTest
 	// Workers is the goroutine count for Parallel; 0 selects GOMAXPROCS.
 	Workers int
-	// Shards is the shard count of the sort-scan plans ("sorted" and
-	// "sharded"): the input is partitioned into Shards contiguous
-	// element ranges, each scanned by its own worker, with carries
-	// combined in ⌈log₂Shards⌉ exchange rounds. 0 derives the count
-	// from Workers (one shard per worker). Other engines ignore it.
-	Shards int
 	// IndirectInit clears buckets through the labels (the theoretical
 	// O(n) initialization of paper Figure 3) instead of directly
 	// (the paper's §4 practical variant). Results are identical; this

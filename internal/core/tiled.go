@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // This file is the cache-tiled, ILP-exposed variant of the sorted
 // engine's inner kernels. The untiled fused gather–scan–scatter visits
@@ -47,10 +44,9 @@ import (
 //
 // Cross-tile state is the per-run accumulator: red[l] itself carries
 // each run between tiles (prefilled with the identity, so empty labels
-// come out right; the sharded engine's seeded rescan prefills it with
-// the shard's carry-in row instead).
+// come out right).
 
-// TileSegs is the plan-time tiling of one sorted scan range: each
+// TileSegs is the plan-time tiling of one sorted scan: each
 // segment is the piece of one label's run whose elements fall in one
 // original-index window, and segments are ordered window-major. The
 // three parallel slices are indexed by segment; TileOff bounds each
@@ -108,15 +104,15 @@ func TileWindow(n, budgetBytes int) int {
 	return w
 }
 
-// BuildTileSegs cuts the runs intersecting sorted positions [lo, hi)
-// at original-index window boundaries and returns the pieces ordered
-// window-major (within a window, in run order). window must be a power
-// of two. The walk is O(hi-lo + runs); called at plan time.
-func BuildTileSegs(perm, start []int32, lo, hi, window int) TileSegs {
+// BuildTileSegs cuts every run of the index at original-index window
+// boundaries and returns the pieces ordered window-major (within a
+// window, in run order). window must be a power of two. The walk is
+// O(n + runs); called at plan time.
+func BuildTileSegs(perm, start []int32, window int) TileSegs {
 	shift := uint(bits.TrailingZeros(uint(window)))
 	nWin := (len(perm) + window - 1) / window
 	cnt := make([]int32, nWin+1)
-	walkTileSegs(perm, start, lo, hi, shift, func(l int32, s, e, k int) {
+	walkTileSegs(perm, start, shift, func(l int32, s, e, k int) {
 		cnt[k+1]++
 	})
 	for k := 0; k < nWin; k++ {
@@ -131,7 +127,7 @@ func BuildTileSegs(perm, start []int32, lo, hi, window int) TileSegs {
 		Hi:      make([]int32, total),
 		TileOff: off,
 	}
-	walkTileSegs(perm, start, lo, hi, shift, func(l int32, s, e, k int) {
+	walkTileSegs(perm, start, shift, func(l int32, s, e, k int) {
 		at := cnt[k]
 		cnt[k] = at + 1
 		ts.Label[at] = l
@@ -141,19 +137,15 @@ func BuildTileSegs(perm, start []int32, lo, hi, window int) TileSegs {
 	return ts
 }
 
-// walkTileSegs enumerates the (label, sorted-range, window) segments of
-// [lo, hi) in run order; the window-major order is imposed by the
-// counting sort in BuildTileSegs. Within one run the permutation is
-// strictly increasing (stability), so each run's pieces appear in
-// ascending window order and the window-major execution preserves the
-// run's element order.
-func walkTileSegs(perm, start []int32, lo, hi int, shift uint, emit func(l int32, s, e, k int)) {
-	m := len(start) - 1
-	l := sort.Search(m, func(i int) bool { return int(start[i+1]) > lo })
-	for ; l < m && int(start[l]) < hi; l++ {
-		s := max(int(start[l]), lo)
-		e := min(int(start[l+1]), hi)
-		for i := s; i < e; {
+// walkTileSegs enumerates the (label, sorted-range, window) segments in
+// run order; the window-major order is imposed by the counting sort in
+// BuildTileSegs. Within one run the permutation is strictly increasing
+// (stability), so each run's pieces appear in ascending window order
+// and the window-major execution preserves the run's element order.
+func walkTileSegs(perm, start []int32, shift uint, emit func(l int32, s, e, k int)) {
+	for l := 0; l+1 < len(start); l++ {
+		e := int(start[l+1])
+		for i := int(start[l]); i < e; {
 			k := int(perm[i]) >> shift
 			j := i + 1
 			for j < e && int(perm[j])>>shift == k {
@@ -413,17 +405,18 @@ func tiledGroup4[E fastElem](fast FastOp, values []E, perm []int32, multi []E, s
 	return a0, a1, a2, a3
 }
 
-// tiledTilesKernel is the shared tile walk: for each window it
-// advances groups of 4 segments as interleaved chains, and the
-// leftover <4 segments as single chains, each run's accumulator
-// carried across tiles in its own red slot. Returns false if stop
-// fired.
+// tiledScanLabelsKernel is the tile walk over a whole index: red is
+// prefilled with the identity, then for each window it advances groups
+// of 4 segments as interleaved chains, and the leftover <4 segments as
+// single chains, each run's accumulator carried across tiles in its
+// own red slot. Returns false if stop fired.
 //
 // Cancellation polls at group granularity: because the interleave
 // never reassociates, chunking does not affect results, so the credit
 // counter only bounds poll latency — at most one group (4 segments,
 // each at most one window long) runs between polls.
-func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, red []E, ts *TileSegs, stop func() bool) bool {
+func tiledScanLabelsKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, red []E, ts *TileSegs, stop func() bool) bool {
+	fillFastIdent(red, fast)
 	credit := cancelStride
 	lab, los, his, off := ts.Label, ts.Lo, ts.Hi, ts.TileOff
 	for t := 0; t+1 < len(off); t++ {
@@ -459,14 +452,6 @@ func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, 
 	return true
 }
 
-// tiledScanLabelsKernel is the serial tiled pass over a whole index:
-// red is prefilled with the identity and carries every run across
-// tiles.
-func tiledScanLabelsKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, red []E, ts *TileSegs, stop func() bool) bool {
-	fillFastIdent(red, fast)
-	return tiledTilesKernel(fast, values, perm, multi, red, ts, stop)
-}
-
 // SortedTiledScanLabels is the tiled counterpart of SortedScanLabels
 // over the full index: same inputs, bit-identical outputs (prefixes
 // into multi through perm, run totals into red), with the traffic
@@ -487,5 +472,5 @@ func SortedTiledScanLabels[T any](op Op[T], fast FastOp, values []T, perm, start
 			return tiledScanLabelsKernel(fast, vs, perm, asF64(multi), asF64(red), ts, stop)
 		}
 	}
-	return SortedScanLabels(op, fast, values, perm, start, multi, red, 0, len(start)-1, nil, stop)
+	return SortedScanLabels(op, fast, values, perm, start, multi, red, nil, stop)
 }

@@ -8,26 +8,26 @@ import (
 
 // buildTiles is the test-side tile build: a power-of-two window small
 // enough to force multiple tiles on the tiny generator shapes.
-func buildTiles(perm, start []int32, lo, hi, window int) *TileSegs {
-	ts := BuildTileSegs(perm, start, lo, hi, window)
+func buildTiles(perm, start []int32, window int) *TileSegs {
+	ts := BuildTileSegs(perm, start, window)
 	return &ts
 }
 
-// tileSegsCover checks the structural invariants of a tile build over
-// [lo, hi): the segments partition the sorted positions, each segment
+// tileSegsCover checks the structural invariants of a tile build: the
+// segments partition the sorted positions, each segment
 // stays inside one run and one window, each run's pieces appear in
 // ascending window (hence original-index) order, and TileOff indexes
 // the segments of window k with labels unique inside each tile — the
 // property the interleaved kernels rely on for chain independence.
-func tileSegsCover(t *testing.T, ts *TileSegs, perm, start []int32, lo, hi, window int) {
+func tileSegsCover(t *testing.T, ts *TileSegs, perm, start []int32, window int) {
 	t.Helper()
 	covered := 0
 	lastWin := make(map[int32]int)
 	m := len(start) - 1
 	for si := range ts.Label {
 		l, s, e := ts.Label[si], int(ts.Lo[si]), int(ts.Hi[si])
-		if s >= e || s < lo || e > hi {
-			t.Fatalf("segment %d: [%d,%d) outside [%d,%d)", si, s, e, lo, hi)
+		if s >= e || s < 0 || e > len(perm) {
+			t.Fatalf("segment %d: [%d,%d) outside [0,%d)", si, s, e, len(perm))
 		}
 		if int(l) >= m || s < int(start[l]) || e > int(start[l+1]) {
 			t.Fatalf("segment %d: [%d,%d) escapes run %d [%d,%d)", si, s, e, l, start[l], start[l+1])
@@ -44,8 +44,8 @@ func tileSegsCover(t *testing.T, ts *TileSegs, perm, start []int32, lo, hi, wind
 		lastWin[l] = win
 		covered += e - s
 	}
-	if covered != hi-lo {
-		t.Fatalf("segments cover %d positions, want %d", covered, hi-lo)
+	if covered != len(perm) {
+		t.Fatalf("segments cover %d positions, want %d", covered, len(perm))
 	}
 	off := ts.TileOff
 	nWin := (len(perm) + window - 1) / window
@@ -82,8 +82,8 @@ func TestBuildTileSegsInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, window := range []int{8, 64, 1024} {
-			ts := buildTiles(idx.Perm, idx.Start, 0, len(tc.labels), window)
-			tileSegsCover(t, ts, idx.Perm, idx.Start, 0, len(tc.labels), window)
+			ts := buildTiles(idx.Perm, idx.Start, window)
+			tileSegsCover(t, ts, idx.Perm, idx.Start, window)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestTiledScanLabelsParity(t *testing.T) {
 		for _, op := range []Op[int64]{AddInt64, MaxInt64, MinInt64, AndInt64, OrInt64, XorInt64} {
 			want := mustSerialOp(t, op, tc.values, tc.labels, tc.m)
 			for _, window := range []int{8, 64, 1024} {
-				ts := buildTiles(idx.Perm, idx.Start, 0, len(tc.labels), window)
+				ts := buildTiles(idx.Perm, idx.Start, window)
 				multi := make([]int64, len(tc.values))
 				red := make([]int64, tc.m)
 				if !SortedTiledScanLabels(op, op.Fast, tc.values, idx.Perm, idx.Start, multi, red, ts, nil) {
@@ -163,7 +163,7 @@ func TestTiledScanLabelsFloat64(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, window := range []int{64, 512} {
-			ts := buildTiles(idx.Perm, idx.Start, 0, n, window)
+			ts := buildTiles(idx.Perm, idx.Start, window)
 			multi := make([]float64, n)
 			red := make([]float64, m)
 			if !SortedTiledScanLabels(op, op.Fast, vals, idx.Perm, idx.Start, multi, red, ts, nil) {
@@ -192,7 +192,7 @@ func TestTiledCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := buildTiles(idx.Perm, idx.Start, 0, len(values), 4096)
+	ts := buildTiles(idx.Perm, idx.Start, 4096)
 	multi := make([]int64, len(values))
 	red := make([]int64, 4)
 	polls := 0
@@ -224,7 +224,7 @@ func TestTiledGenericFallthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := buildTiles(idx.Perm, idx.Start, 0, len(values), 8)
+	ts := buildTiles(idx.Perm, idx.Start, 8)
 	multi := make([]string, len(values))
 	red := make([]string, 3)
 	if !SortedTiledScanLabels(concat, concat.Fast, values, idx.Perm, idx.Start, multi, red, ts, nil) {
@@ -309,7 +309,7 @@ func BenchmarkTiledScan(b *testing.B) {
 		b.Run(sizeName("untiled", sh.n, sh.m), func(b *testing.B) {
 			b.SetBytes(int64(sh.n * 8))
 			for i := 0; i < b.N; i++ {
-				if !SortedScanLabels(AddInt64, FastAdd, values, idx.Perm, idx.Start, multi, red, 0, sh.m, nil, nil) {
+				if !SortedScanLabels(AddInt64, FastAdd, values, idx.Perm, idx.Start, multi, red, nil, nil) {
 					b.Fatal("aborted")
 				}
 			}
@@ -319,7 +319,7 @@ func BenchmarkTiledScan(b *testing.B) {
 			if window == 0 {
 				continue
 			}
-			ts := BuildTileSegs(idx.Perm, idx.Start, 0, sh.n, window)
+			ts := BuildTileSegs(idx.Perm, idx.Start, window)
 			b.Run(sizeName("tiled"+kbName(budget), sh.n, sh.m), func(b *testing.B) {
 				b.SetBytes(int64(sh.n * 8))
 				for i := 0; i < b.N; i++ {

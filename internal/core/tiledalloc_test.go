@@ -29,7 +29,7 @@ func TestTiledKernelZeroAllocs(t *testing.T) {
 	multi := make([]int64, n)
 	red := make([]int64, m)
 
-	serialTiles := BuildTileSegs(perm, start, 0, n, window)
+	serialTiles := BuildTileSegs(perm, start, window)
 	for _, op := range []Op[int64]{AddInt64, MaxInt64} {
 		scan := func() {
 			if !SortedTiledScanLabels(op, op.Fast, values, perm, start, multi, red, &serialTiles, nil) {

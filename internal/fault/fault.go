@@ -44,8 +44,8 @@ const (
 // # Concurrency
 //
 // One Injector may be shared by every worker goroutine of a run — the
-// chunked and sorted engines call the hook concurrently from all
-// shards — and across concurrent runs (the service's chaos mode). All
+// chunked and parallel engines call the hook concurrently from all
+// workers — and across concurrent runs (the service's chaos mode). All
 // methods are safe for concurrent use: the event counters and the
 // stall latch are atomic, and the configuration fields are only read.
 // The configuration fields themselves are NOT synchronized: set them

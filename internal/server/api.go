@@ -14,6 +14,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
+	"strings"
 
 	"multiprefix/internal/backend"
 	"multiprefix/internal/core"
@@ -40,10 +42,24 @@ var serviceBackends = map[string]bool{
 	"auto":      true,
 	"serial":    true,
 	"sorted":    true,
-	"sharded":   true,
 	"chunked":   true,
 	"parallel":  true,
 	"spinetree": true,
+}
+
+// servedList is the served names in sorted order, as the
+// unknown-backend error lists them.
+var servedList = strings.Join(ServedBackends(), ", ")
+
+// ServedBackends returns the names of the backends the service serves,
+// in sorted order.
+func ServedBackends() []string {
+	names := make([]string, 0, len(serviceBackends))
+	for name := range serviceBackends {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // computeRequest is the JSON body of every compute endpoint. The

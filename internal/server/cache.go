@@ -10,7 +10,7 @@ import (
 
 // planCache is the service's single-flight LRU cache of prepared
 // plans. Plan construction is the expensive, label-dependent half of a
-// multiprefix (validation, counting sort, shard decomposition, team
+// multiprefix (validation, counting sort, chunk decomposition, team
 // spawn); repeat traffic re-sends the same label vector, so the
 // service builds each plan once and evaluates many requests against
 // it.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -142,24 +144,23 @@ func TestClientQuotaSweep(t *testing.T) {
 	}
 }
 
-// TestShardedServed: the sharded backend is a service backend —
-// requests naming it compute through the sharded plan path.
-func TestShardedServed(t *testing.T) {
+// TestShardedNotServed: the retired sharded backend is an unknown
+// name — 400 unknown_backend — and the error lists exactly the served
+// backends, in sorted order.
+func TestShardedNotServed(t *testing.T) {
 	x := newTestServer(t, Options{})
 	labels, values := refInputs(500, 9)
-	var resp computeResponse
-	hr := x.post(t, "/v1/multiprefix", req("sum", "sharded", labels, 9, values), &resp)
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("sharded compute status = %d, want 200", hr.StatusCode)
+	var er errorResponse
+	hr := x.post(t, "/v1/multiprefix", req("sum", "sharded", labels, 9, values), &er)
+	if hr.StatusCode != http.StatusBadRequest || er.Error.Kind != kindUnknownBack {
+		t.Fatalf("sharded compute = %d/%q, want 400/%q", hr.StatusCode, er.Error.Kind, kindUnknownBack)
 	}
-	if resp.Backend != "sharded" {
-		t.Fatalf("backend = %q, want sharded", resp.Backend)
+	served := []string{"auto", "chunked", "parallel", "serial", "sorted", "spinetree"}
+	if got := ServedBackends(); !slices.Equal(got, served) {
+		t.Fatalf("ServedBackends() = %v, want %v", got, served)
 	}
-	want := make(map[int]int64, 9)
-	for i, l := range labels {
-		if resp.Multi[i] != want[l] {
-			t.Fatalf("Multi[%d] = %d, want %d", i, resp.Multi[i], want[l])
-		}
-		want[l] += values[i]
+	_, listed, ok := strings.Cut(er.Error.Message, "want one of: ")
+	if !ok || strings.TrimSuffix(listed, ")") != strings.Join(served, ", ") {
+		t.Fatalf("message %q does not list exactly %v", er.Error.Message, served)
 	}
 }

@@ -92,7 +92,7 @@ func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName str
 	}
 	if !serviceBackends[backendName] {
 		s.writeError(w, http.StatusBadRequest, kindUnknownBack,
-			fmt.Sprintf("backend %q is not served (want auto, serial, sorted, sharded, chunked, parallel or spinetree)", backendName))
+			fmt.Sprintf("backend %q is not served (want one of: %s)", backendName, servedList))
 		return core.Op[int64]{}, "", false
 	}
 	if n := len(labels); n > s.opts.MaxN {
