@@ -1,8 +1,8 @@
 # Build and verification entry points. `make check` is the tier-1+
 # verify command: everything tier-1 runs (build + tests) plus vet, the
 # race detector on the concurrent packages, and a short fuzz smoke of
-# the root fuzz targets plus the backend plan/sorted/batch parity
-# targets.
+# the root fuzz targets, the backend plan/sorted/batch parity targets
+# and the service's compute-body decoder.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzTiledParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
+	$(GO) test -run '^$$' -fuzz '^FuzzComputeDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer
 # suite), race, fuzz smoke, a one-iteration pass over every benchmark

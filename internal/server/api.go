@@ -64,6 +64,9 @@ func ServedBackends() []string {
 
 // computeRequest is the JSON body of every compute endpoint. The
 // batch endpoints read Batch, the single-vector endpoints Values.
+// parseCompute (codec.go) decodes it without reflection; a field added
+// here needs a case there, or every body carrying it takes the slower
+// encoding/json fallback.
 type computeRequest struct {
 	// Op is the operator name: sum, prod, max, min, and, or, xor.
 	Op string `json:"op"`
@@ -172,6 +175,8 @@ type queryResponse struct {
 }
 
 // computeResponse is the success body of the single-vector endpoints.
+// appendCompute (codec.go) writes it by hand: a field added here must
+// be added there too.
 type computeResponse struct {
 	Backend string `json:"backend"`
 	Op      string `json:"op"`

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -299,7 +298,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		defer release()
 
 		var req computeRequest
-		if !s.decodeJSON(w, r, &req) {
+		if !s.decodeBody(w, r, func(b []byte) error { return decodeCompute(b, &req) }) {
 			return
 		}
 		op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, req.Labels, req.M)
@@ -392,7 +391,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			resp.Fallback = "serial"
 		}
 		s.st.ok.Add(1)
-		writeJSON(w, http.StatusOK, resp)
+		writeCompute(w, &resp)
 	}
 }
 
@@ -446,7 +445,7 @@ func (s *Server) respondBatch(w http.ResponseWriter, backendName, opName string,
 		resp.Results[i] = item
 	}
 	s.st.ok.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -485,10 +484,4 @@ func (s *Server) writeError(w http.ResponseWriter, status int, kind, msg string)
 		s.st.badInput.Add(1)
 	}
 	writeJSON(w, status, errorResponse{Error: apiError{Kind: kind, Message: msg}})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

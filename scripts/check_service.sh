@@ -7,7 +7,10 @@
 #   2. a smoke multiprefix request answers correctly,
 #   3. a chaos-panicked request is still answered (degradation ladder:
 #      200 + "fallback":"serial"),
-#   4. a malformed request gets a typed 400,
+#   4. a malformed request and a body with trailing data get a typed
+#      400, and a body outside the fast decoder's canonical subset
+#      (case-variant keys, extra whitespace) answers like the canonical
+#      one,
 #   5. stateful plans work end to end: bind resident values over
 #      /v1/update, point-update, pinned /v1/query reads the maintained
 #      answer, a stale pin is rejected 409 version_conflict, and
@@ -71,6 +74,21 @@ CODE=$(curl -s -o "$BIN/err.json" -w '%{http_code}' -X POST "$URL/v1/multiprefix
   -d '{"op":"median","m":2,"labels":[0],"values":[1]}')
 if [ "$CODE" != 400 ] || [ "$(jq -r .error.kind "$BIN/err.json")" != bad_input ]; then
   echo "check-service: bad op not rejected typed (code $CODE)"; exit 1
+fi
+
+# Trailing data after the JSON value is rejected, not ignored.
+CODE=$(curl -s -o "$BIN/trail.json" -w '%{http_code}' -X POST "$URL/v1/multiprefix" \
+  -d "$BODY"'{"op":"max"}')
+if [ "$CODE" != 400 ] || [ "$(jq -r .error.kind "$BIN/trail.json")" != bad_input ]; then
+  echo "check-service: trailing data not rejected typed (code $CODE)"; exit 1
+fi
+
+# Case-variant keys and extra whitespace take the encoding/json
+# fallback and must answer exactly as the canonical body does.
+RESP=$(curl -sf -X POST "$URL/v1/multiprefix" \
+  -d $'{ "OP" : "sum",\n  "M": 2, "Labels" : [ 0, 1 ,0,1, 0 ],\t"VALUES":[1, 2,3 ,4,5] }\n')
+if [ "$(echo "$RESP" | jq -c .multi)" != "$WANT_MULTI" ]; then
+  echo "check-service: fallback-decoded body answered $RESP"; exit 1
 fi
 
 # Stateful plans: bind resident values, point-update, then a query
