@@ -79,10 +79,11 @@ calibrate-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# One iteration of every benchmark: compile + run smoke, not a
+# One iteration of every benchmark of the root package and of the
+# service codec and plan-key kernels: compile + run smoke, not a
 # measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/server ./internal/backend
 
 # Regenerate the committed engine-performance snapshot.
 bench-json:

@@ -38,7 +38,7 @@ type Key struct {
 	Op string
 	// N is the element count, M the label-space size.
 	N, M int
-	// Digest is an FNV-1a hash over the label vector.
+	// Digest is a word-wise FNV-1a hash over the label vector.
 	Digest uint64
 }
 
@@ -53,9 +53,14 @@ func KeyFor(backendName, opName string, labels []int, m int) Key {
 	}
 }
 
-// DigestLabels hashes a label vector with 64-bit FNV-1a, feeding each
-// label as eight little-endian bytes. Deterministic across runs and
-// platforms.
+// DigestLabels hashes a label vector with word-wise 64-bit FNV-1a:
+// each label, widened to 64 bits, is xored in whole and followed by
+// one multiply, where byte-wise FNV-1a spends eight of each. Every
+// step is a bijection of the state, so vectors that differ in one
+// label always digest differently. Deterministic across runs and
+// platforms (a label widens to the same 64 bits whatever the size of
+// int). Nothing persists a digest: the warm file stores label
+// vectors, and a cache hit still compares every label.
 func DigestLabels(labels []int) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -63,12 +68,8 @@ func DigestLabels(labels []int) uint64 {
 	)
 	h := uint64(offset64)
 	for _, l := range labels {
-		v := uint64(l)
-		for b := 0; b < 8; b++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+		h ^= uint64(l)
+		h *= prime64
 	}
 	return h
 }

@@ -64,6 +64,38 @@ func TestPlanKey(t *testing.T) {
 	}
 }
 
+// TestDigestLabelsGolden pins DigestLabels to fixed values, so the
+// "deterministic across runs and platforms" promise is checked: the
+// empty vector digests to the FNV-1a offset basis, and the fixed
+// vector's value was computed independently of this package.
+func TestDigestLabelsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		labels []int
+		want   uint64
+	}{
+		{nil, 0xcbf29ce484222325},
+		{[]int{0, 1, 2, 3, 255, 256, 65535, 1 << 17, 7}, 0xc4d1cc508db714ca},
+	} {
+		if got := DigestLabels(tc.labels); got != tc.want {
+			t.Errorf("DigestLabels(%v) = %#x, want %#x", tc.labels, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkDigestLabels times the plan-cache key digest of one
+// n=2^16 label vector below m=256, the service benchmark's shape.
+func BenchmarkDigestLabels(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	labels := make([]int, 1<<16)
+	for i := range labels {
+		labels[i] = rng.Intn(256)
+	}
+	b.SetBytes(int64(8 * len(labels)))
+	for b.Loop() {
+		DigestLabels(labels)
+	}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

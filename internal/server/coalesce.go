@@ -50,12 +50,14 @@ type group struct {
 }
 
 // coalescer merges concurrent requests that share a cached plan into
-// fused RunBatch/ReduceBatch rounds. Each group runs a short
-// collection window, takes up to BatchCap queued vectors, and
-// executes them as one team round — the paper's batching insight
-// (amortize the fixed per-round cost over many vectors) applied
-// across requests. A group's runner goroutine exists only while the
-// group has traffic; an empty collection ends it.
+// fused RunBatch/ReduceBatch rounds. Each group takes up to BatchCap
+// queued vectors and executes them as one team round — the paper's
+// batching insight (amortize the fixed per-round cost over many
+// vectors) applied across requests. By default a round starts at
+// once: the vectors that queue while it runs form the next round, so
+// fusion needs no timer. A positive CoalesceWindow sleeps before each
+// round to collect more. A group's runner goroutine exists only while
+// the group has traffic; an empty collection ends it.
 type coalescer struct {
 	s      *Server
 	mu     sync.Mutex

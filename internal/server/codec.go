@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -173,15 +175,13 @@ type parser struct {
 }
 
 func (p *parser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
+	for p.i < len(p.b) && isSpace(p.b[p.i]) {
+		p.i++
 	}
 }
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // eat consumes c if it is next.
 func (p *parser) eat(c byte) bool {
@@ -223,33 +223,40 @@ func (p *parser) name() (string, bool) {
 	return string(s), ok
 }
 
-// digits consumes the digits of a JSON integer: a lone zero, or 1 to
-// 19 digits without a leading zero, which always fit in uint64.
-// Longer runs are left to the fallback. A leading zero, a fraction or
-// an exponent leaves a non-delimiter next, which the caller's grammar
-// rejects.
+// digits consumes the digits of a JSON integer; see scanDigits.
 func (p *parser) digits() (uint64, bool) {
-	if p.eat('0') {
-		return 0, true
+	u, i, ok := scanDigits(p.b, p.i)
+	p.i = i
+	return u, ok
+}
+
+// scanDigits reads the digits of a JSON integer at b[i:] and returns
+// their value and the index after them: a lone zero, or 1 to 19
+// digits without a leading zero, which always fit in uint64. Longer
+// runs are left to the fallback. A leading zero, a fraction or an
+// exponent leaves a non-delimiter next, which the caller's grammar
+// rejects.
+func scanDigits(b []byte, i int) (uint64, int, bool) {
+	if i < len(b) && b[i] == '0' {
+		return 0, i + 1, true
 	}
-	start := p.i
+	start := i
 	var v uint64
-	for ; p.i < len(p.b); p.i++ {
-		d := p.b[p.i] - '0'
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
 		if d > 9 {
 			break
 		}
 		v = v*10 + uint64(d)
 	}
-	n := p.i - start
-	return v, n > 0 && n <= 19
+	n := i - start
+	return v, i, n > 0 && n <= 19
 }
 
-// parseInt consumes a JSON integer that fits in T.
-func parseInt[T int | int64](p *parser) (T, bool) {
-	neg := p.eat('-')
-	u, ok := p.digits()
-	if !ok || u > 1<<63 || u == 1<<63 && !neg {
+// toInt converts a digit value and its sign to T, reporting false
+// when the integer does not fit in T.
+func toInt[T int | int64](u uint64, neg bool) (T, bool) {
+	if u > 1<<63 || u == 1<<63 && !neg {
 		return 0, false
 	}
 	if neg {
@@ -259,11 +266,59 @@ func parseInt[T int | int64](p *parser) (T, bool) {
 	return v, int64(v) == int64(u) // a 32-bit int may not hold it
 }
 
+// parseInt consumes a JSON integer that fits in T.
+func parseInt[T int | int64](p *parser) (T, bool) {
+	neg := p.eat('-')
+	u, ok := p.digits()
+	if !ok {
+		return 0, false
+	}
+	return toInt[T](u, neg)
+}
+
+// SWAR ("SIMD within a register") constants: one byte lane each.
+const (
+	lanes0F = 0x0F0F0F0F0F0F0F0F
+	lanes06 = 0x0606060606060606
+	lanes30 = 0x3030303030303030
+	lanesF0 = 0xF0F0F0F0F0F0F0F0
+)
+
+// digitRun counts the ASCII digits that open w, read little-endian
+// from the body: 0 to 8. A byte is a digit when its high nibble is 3
+// both before and after adding 6 (0x30-0x3F and 0x2A-0x39 meet in
+// 0x30-0x39). Adding 6 carries out of a byte only at 0xFA and above,
+// which is a non-digit, so a carry reaches only lanes after the first
+// non-digit and never changes the count.
+func digitRun(w uint64) int {
+	nonDigit := (w&lanesF0 ^ lanes30) | ((w+lanes06)&lanesF0 ^ lanes30)
+	return bits.TrailingZeros64(nonDigit) >> 3
+}
+
+// eightDigits returns the value of eight ASCII digits packed
+// little-endian in w, most significant first; zero bytes read as
+// leading zeros. Three multiplies fold the lanes pairwise: digits
+// into 2-digit, then 4-digit, then the 8-digit value (Lemire's
+// parse_eight_digits_unrolled, as in simdjson).
+func eightDigits(w uint64) uint64 {
+	w = (w & lanes0F) * (10<<8 + 1) >> 8
+	w = (w & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+	return (w & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32
+}
+
 // parseList consumes an array of JSON integers. A flat number list
 // ends at the first ']', so its commas give its length up front and
 // the slice is allocated once. The size is capped by what the bytes
 // can hold — k integers take at least 2k-1 bytes — so a body of bare
 // commas cannot reserve more than a valid body of its length would.
+//
+// The element loop keeps the cursor in locals. While eight bytes
+// remain after the sign, one word load reads a number of 1 to 7
+// digits without a leading zero: digitRun finds its end, eightDigits
+// its value, and the byte after it is tested for ',' in the same
+// word. A leading zero, a run of eight or more digits and a number in
+// the last eight bytes go through scanDigits and toInt, which keep the
+// lone-zero, 19-digit and range rules; seven digits fit every T.
 func parseList[T int | int64](p *parser) ([]T, bool) {
 	if !p.eat('[') {
 		return nil, false
@@ -279,20 +334,59 @@ func parseList[T int | int64](p *parser) ([]T, bool) {
 		return make([]T, 0), true
 	}
 	out := make([]T, 0, n)
+	b, i := p.b, p.i
 	for {
-		v, ok := parseInt[T](p)
-		if !ok {
+		for i < len(b) && isSpace(b[i]) {
+			i++
+		}
+		if i == len(b) {
 			return nil, false
+		}
+		// Random signs defeat branch prediction, so a '-' is taken
+		// as a step s of 0 or 1 and applied to the value as (u^-s)+s.
+		s := (uint64(b[i]^'-') - 1) >> 63
+		i += int(s)
+		var v T
+		fast := false
+		if len(b)-i >= 8 {
+			w := binary.LittleEndian.Uint64(b[i:])
+			if k := uint(digitRun(w)); k > 0 && k < 8 && byte(w) != '0' {
+				u := eightDigits(w << (64 - 8*k))
+				v = T(int64((u ^ -s) + s))
+				if byte(w>>(8*k)) == ',' {
+					out = append(out, v)
+					i += int(k) + 1
+					continue
+				}
+				i, fast = i+int(k), true
+			}
+		}
+		if !fast {
+			u, j, ok := scanDigits(b, i)
+			if !ok {
+				return nil, false
+			}
+			if v, ok = toInt[T](u, s == 1); !ok {
+				return nil, false
+			}
+			i = j
 		}
 		out = append(out, v)
-		p.ws()
-		if p.eat(']') {
-			return out, true
+		for i < len(b) && isSpace(b[i]) {
+			i++
 		}
-		if !p.eat(',') {
+		if i == len(b) {
 			return nil, false
 		}
-		p.ws()
+		switch b[i] {
+		case ']':
+			p.i = i + 1
+			return out, true
+		case ',':
+			i++
+		default:
+			return nil, false
+		}
 	}
 }
 

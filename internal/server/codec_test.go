@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -66,6 +67,32 @@ var decodeSeeds = []struct {
 	{`null`, false},
 	{``, false},
 	{`[]`, false},
+	// The word-at-a-time digit scan reads up to seven digits from one
+	// 8-byte load; these sit on its boundaries.
+	{`{"labels":[12345678,1],"values":[-12345678,-1]}`, true},         // 8 digits: scalar run
+	{`{"labels":[123456789,1],"values":[-123456789,1]}`, true},        // 9 digits
+	{`{"values":[1234567890123456789,-1234567890123456789,1]}`, true}, // 19 digits
+	{`{"values":[12345678901234567890,1]}`, false},                    // 20 digits
+	{`{"values":[-12345678901234567890,1]}`, false},                   // 20 digits, negative
+	{`{"labels":[1234567,7654321],"values":[-1234567,1]}`, true},      // 7 digits: one load
+	{`{"m":3,"labels":[0,1,2],"values":[-4,5,678]}`, true},            // last digits 2 bytes from the end
+	{`{"values":[1,-22,333]}` + "\n", true},                           // scalar tail
+	{`{"values":[123456]}`, true},                                     // exactly 8 bytes left at the number
+	{`{"values":[123/4,567890]}`, false},                              // '/' is 0x2F, just below '0'
+	{`{"values":[123:4,567890]}`, false},                              // ':' is 0x3A, just above '9'
+	{`{"values":[123?4,567890]}`, false},                              // '?' is 0x3F, high nibble 3
+	{`{"values":[123` + "\xfa" + `4,567890]}`, false},                 // +0x06 carries out of 0xFA
+	{`{"values":[1` + "\xff\xff" + `2345678901]}`, false},             // carries out of 0xFF
+	{`{"values":[-]}`, false},                                         // '-' then no digit
+	{`{"values":[1,-,2345678901]}`, false},                            // '-' then a comma, 8 bytes left
+	{`{"values":[- 12345678]}`, false},                                // '-' then a space
+	{`{"values":[--12345678]}`, false},                                // two signs
+	{`{"values":[-0,12345678]}`, true},                                // '-0' then 8 more bytes
+	{`{"values":[-01234567,1]}`, false},                               // leading zero after '-'
+	{`{"labels":[01234567,1]}`, false},                                // leading zero, 8 bytes left
+	{`{"labels":[012,3456789]}`, false},                               // leading zero in one load
+	{`{"values":[-012,3456789]}`, false},                              // the same after '-'
+	{`{"labels":[1234567 ,2345678 ] , "values":[ -1 , 2 ]}`, true},    // space after a 7-digit run
 }
 
 // FuzzComputeDecode checks decodeCompute against json.Unmarshal on
@@ -272,4 +299,28 @@ func BenchmarkComputeCodec(b *testing.B) {
 			_ = json.NewEncoder(&buf).Encode(&resp)
 		}
 	})
+}
+
+// BenchmarkParseCompute times the fast parser alone on a canonical
+// body of the service benchmark's shape: n=2^16 labels below m=256
+// and values in ±2^20, as json.Marshal writes them.
+func BenchmarkParseCompute(b *testing.B) {
+	const n, m, lim = 1 << 16, 256, 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	req := computeRequest{Op: "sum", M: m, Labels: make([]int, n), Values: make([]int64, n)}
+	for i := range req.Labels {
+		req.Labels[i] = rng.Intn(m)
+		req.Values[i] = rng.Int63n(2*lim+1) - lim
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	for b.Loop() {
+		var r computeRequest
+		if !parseCompute(body, &r) {
+			b.Fatal("canonical body left the fast path")
+		}
+	}
 }

@@ -32,10 +32,11 @@ type Options struct {
 	// DefaultDeadline applies when a request sets no deadline_ms;
 	// MaxDeadline clamps what a request may ask for.
 	DefaultDeadline, MaxDeadline time.Duration
-	// CoalesceWindow is how long a batch group collects concurrent
-	// requests before running a fused round. 0 selects the default;
-	// negative disables the wait (each collection takes whatever is
-	// queued right now).
+	// CoalesceWindow is how long a batch group waits to collect
+	// concurrent requests before each fused round. 0 (the default) and
+	// negative values mean no wait: each round takes whatever is
+	// queued, and requests that arrive while a round runs fuse into
+	// the next one.
 	CoalesceWindow time.Duration
 	// BatchCap bounds the vectors fused into one round.
 	BatchCap int
@@ -87,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 30 * time.Second
-	}
-	if o.CoalesceWindow == 0 {
-		o.CoalesceWindow = 200 * time.Microsecond
 	}
 	if o.CoalesceWindow < 0 {
 		o.CoalesceWindow = 0

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -394,6 +395,130 @@ func TestCoalescing(t *testing.T) {
 		}
 	}
 	t.Fatal("no request ever coalesced with another across 20 concurrent bursts")
+}
+
+// TestDeadlineClamp sends deadline_ms values up to 2^62 to every
+// endpoint kind: each is clamped to MaxDeadline in milliseconds, before
+// it can overflow time.Duration into an already-expired context.
+func TestDeadlineClamp(t *testing.T) {
+	const maxDeadline = 3 * time.Second
+	x := newTestServer(t, Options{MaxDeadline: maxDeadline})
+	labels, values := refInputs(64, 4)
+	body := func(path string, deadlineMS int64) map[string]any {
+		b := map[string]any{"op": "sum", "backend": "sorted", "m": 4, "labels": labels, "deadline_ms": deadlineMS}
+		if path == "/v1/query" {
+			b["indices"] = []int{0, 63}
+		} else {
+			b["values"] = values
+		}
+		return b
+	}
+	// Bind the plan first, so no query depends on a row's update.
+	if hr := x.post(t, "/v1/update", body("/v1/update", 0), nil); hr.StatusCode != http.StatusOK {
+		t.Fatalf("bind: status %d", hr.StatusCode)
+	}
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{1, time.Millisecond},
+		{maxDeadline.Milliseconds(), maxDeadline},
+		{1e13, maxDeadline},
+		{1 << 62, maxDeadline},
+	} {
+		before := time.Now()
+		ctx, cancel := x.s.requestCtx(context.Background(), tc.ms)
+		after := time.Now()
+		deadline, _ := ctx.Deadline()
+		cancel()
+		if deadline.Before(before.Add(tc.want)) || deadline.After(after.Add(tc.want)) {
+			t.Errorf("deadline_ms %d: deadline %v from now, want %v", tc.ms, deadline.Sub(before), tc.want)
+		}
+		for _, path := range []string{"/v1/multiprefix", "/v1/update", "/v1/query"} {
+			var er errorResponse
+			hr := x.post(t, path, body(path, tc.ms), &er)
+			// A 1 ms deadline may expire on a loaded host; only the
+			// clamped ones must always answer.
+			if hr.StatusCode != http.StatusOK && (tc.want == maxDeadline || er.Error.Kind != kindDeadline) {
+				t.Errorf("%s deadline_ms %d: status %d %+v", path, tc.ms, hr.StatusCode, er)
+			}
+		}
+	}
+}
+
+// blockingHook stalls every engine combine and barrier until release
+// is closed, closing entered the first time the engine reaches it.
+type blockingHook struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (h *blockingHook) Combine(string, int)                { h.block() }
+func (h *blockingHook) Barrier(string, int)                { h.block() }
+func (h *blockingHook) SpineTest(_ int, isSpine bool) bool { return isSpine }
+
+func (h *blockingHook) block() {
+	h.once.Do(func() { close(h.entered) })
+	<-h.release
+}
+
+// TestCoalesceWithoutWindow pins the batching the default (no-wait)
+// coalescer relies on: with no timer at all, vectors that queue on a
+// group while its round runs all fuse into the next round.
+func TestCoalesceWithoutWindow(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	if s.opts.CoalesceWindow != 0 {
+		t.Fatalf("default CoalesceWindow = %v, want 0 (no wait)", s.opts.CoalesceWindow)
+	}
+	const n, m, k = 512, 8, 5
+	labels, values := refInputs(n, m)
+	want, _ := core.Serial(core.AddInt64, values, labels, m)
+	entry, err := s.cache.acquire("sorted", core.AddInt64, labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.cache.release(entry)
+	item := func(hook core.FaultHook) *pending {
+		return &pending{
+			src: values, dst: make([]int64, m), ctx: context.Background(), hook: hook,
+			deadline: time.Now().Add(time.Minute), done: make(chan outcome, 1),
+		}
+	}
+
+	hook := &blockingHook{entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(hook.release) })
+	defer release() // a failed test must not leave the runner blocked for Close
+	first := item(hook)
+	s.coal.submit(entry, true, 0, first)
+	select {
+	case <-hook.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first round never reached the engine")
+	}
+	rest := make([]*pending, k)
+	for i := range rest {
+		rest[i] = item(nil)
+		s.coal.submit(entry, true, 0, rest[i])
+	}
+	release()
+
+	check := func(name string, it *pending, coalesced int) {
+		t.Helper()
+		o := <-it.done
+		if o.err != nil || o.coalesced != coalesced {
+			t.Fatalf("%s: err %v, coalesced %d, want nil and %d", name, o.err, o.coalesced, coalesced)
+		}
+		for l := range want.Reductions {
+			if it.dst[l] != want.Reductions[l] {
+				t.Fatalf("%s: reductions[%d] = %d, want %d", name, l, it.dst[l], want.Reductions[l])
+			}
+		}
+	}
+	check("blocked round", first, 1)
+	for i, it := range rest {
+		check(fmt.Sprintf("queued vector %d", i), it, k)
+	}
 }
 
 // TestStatsEndpoint sanity-checks the counter snapshot wire shape.

@@ -91,11 +91,16 @@ func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName str
 }
 
 // requestCtx derives the per-request deadline context from the wire
-// deadline_ms, clamped to the server maximum.
+// deadline_ms, clamped to the server maximum. The clamp compares
+// milliseconds before converting, so a huge deadline_ms cannot
+// overflow time.Duration into an already-expired context.
 func (s *Server) requestCtx(parent context.Context, deadlineMS int64) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultDeadline
 	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
+		d = s.opts.MaxDeadline
+		if deadlineMS <= d.Milliseconds() {
+			d = time.Duration(deadlineMS) * time.Millisecond
+		}
 	}
 	if d > s.opts.MaxDeadline {
 		d = s.opts.MaxDeadline
