@@ -50,10 +50,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentedScan$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzBackendParity$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParity$$' -fuzztime $(FUZZTIME) ./internal/backend
-	$(GO) test -run '^$$' -fuzz '^FuzzSortedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchParity$$' -fuzztime $(FUZZTIME) ./internal/backend
-	$(GO) test -run '^$$' -fuzz '^FuzzTiledParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
+	$(GO) test -run '^$$' -fuzz '^FuzzSortedIndex$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer
@@ -69,10 +68,10 @@ check: lint race race-matrix fuzz-smoke bench-smoke calibrate-smoke check-servic
 check-service:
 	bash ./scripts/check_service.sh
 
-# Calibrator smoke gate: the measured memory probe behind Auto's
-# engine choice completes inside its time budget, reports sane
-# non-zero bandwidths, and honors the MP_AUTOCAL override that CI
-# uses for determinism.
+# Calibrator smoke gate: the measured memory probe behind the
+# incremental update burst completes inside its time budget, reports
+# sane non-zero bandwidths and a positive burst, and honors the
+# MP_AUTOCAL overrides that CI uses for determinism.
 calibrate-smoke:
 	bash ./scripts/check_calibrate.sh
 

@@ -12,23 +12,24 @@ type Backend[T any] = backend.Backend[T]
 
 // Plan is a prepared multiprefix pipeline over one fixed label
 // vector: validation and label-structure setup (class counts, chunk
-// partitions, the sorted engine's counting-sort permutation, spinetree
-// where the engine allows) happen once, then Run/Reduce evaluate any
-// number of value vectors with zero steady-state allocations on the
-// portable backends. Results alias plan-owned storage, valid until the
-// next call on the same Plan. RunBatch/ReduceBatch evaluate k value
-// vectors in one call into caller-owned destinations — fused on the
-// serial, sorted, chunked and vector plans (no result copies; one
-// worker-team round for the whole batch on chunked), a plain loop
-// elsewhere.
+// partitions, spinetree where the engine allows) happen once, then
+// Run/Reduce evaluate any number of value vectors with zero
+// steady-state allocations on the portable backends. Results alias
+// plan-owned storage, valid until the next call on the same Plan.
+// RunBatch/ReduceBatch evaluate k value vectors in one call into
+// caller-owned destinations — fused on the serial, chunked and vector
+// plans (no result copies; one worker-team round for the whole batch
+// on chunked), a plain loop elsewhere.
 //
 // A Plan is also a stateful resource: Bind installs a resident value
 // vector, after which Update mutates single points and
 // QueryPrefix/ReduceLabel/Snapshot answer against the maintained
 // state — O(log n) per point for invertible fast ops (int64/float64
 // sum) via per-label Fenwick accumulators, full re-evaluation
-// otherwise. Version reports the monotonically increasing state
-// identity that Bind and Update advance.
+// otherwise; the Fenwick tier lays its tree out in a stable
+// counting-sort order of the labels, built at the first Bind. Version
+// reports the monotonically increasing state identity that Bind and
+// Update advance.
 type Plan[T any] = backend.Plan[T]
 
 // UnknownBackendError is returned when a backend name is not in the
@@ -36,11 +37,12 @@ type Plan[T any] = backend.Plan[T]
 type UnknownBackendError = backend.UnknownBackendError
 
 // Backends lists the registered backend names: "auto" (adaptive,
-// default), "serial", "sorted" (a serial segmented scan over a stable
-// counting-sort permutation; best planned), "spinetree", "chunked",
-// "parallel" (the portable engines), "vector" (the simulated CRAY
-// Y-MP port; int64/float64/int32 only) and "pram" (the simulated
-// PRAM; int64 multiprefix-PLUS only).
+// default: serial, or chunked beyond 2^20 elements on several
+// workers), "serial", "spinetree", "chunked", "parallel" (the
+// portable engines), "vector" (the simulated CRAY Y-MP port;
+// int64/float64/int32 only) and "pram" (the simulated PRAM; int64
+// multiprefix-PLUS only). The sort-scan backend "sorted" was removed;
+// opening it returns *UnknownBackendError.
 func Backends() []string { return backend.Names() }
 
 // OpenBackend resolves a backend by name for element type T; unknown

@@ -62,41 +62,6 @@ type PlanEntry struct {
 	Speedup        float64 `json:"speedup"`
 }
 
-// SortedEntry compares the planned sorted engine against the pooled
-// serial bucket pass on the label-heavy shape where the §6 analysis
-// predicts the sorted layout wins (bucket array beyond cache). The
-// ratio is recorded honestly: on hosts whose last-level cache holds
-// the whole bucket array the serial pass stays ahead.
-type SortedEntry struct {
-	N              int     `json:"n"`
-	M              int     `json:"m"`
-	Workers        int     `json:"workers"`
-	NsSerialPooled float64 `json:"ns_per_op_serial_pooled"`
-	NsSortedPlan   float64 `json:"ns_per_op_sorted_plan"`
-	Speedup        float64 `json:"speedup"`
-}
-
-// TiledEntry compares, at one (n, m) shape, the pooled serial bucket
-// pass against the planned sorted scan with tiling disabled (tile
-// budget above the working set) and with the calibrated tile budget.
-// The tiled column is the cache-tiled interleaved kernel this snapshot
-// pins; tiled vs untiled isolates the kernel rewrite from the layout.
-// TiledEngaged records whether the calibrated plan actually tiled —
-// short average segments (below window/256 elements) hold the plan on
-// the untiled path, and then both sorted columns time the same code
-// and their ratio only bounds run-to-run noise.
-type TiledEntry struct {
-	N               int     `json:"n"`
-	M               int     `json:"m"`
-	Workers         int     `json:"workers"`
-	TiledEngaged    bool    `json:"tiled_engaged"`
-	NsSerialPooled  float64 `json:"ns_per_op_serial_pooled"`
-	NsSortedUntiled float64 `json:"ns_per_op_sorted_untiled"`
-	NsSortedTiled   float64 `json:"ns_per_op_sorted_tiled"`
-	TiledVsUntiled  float64 `json:"tiled_vs_untiled_speedup"`
-	TiledVsSerial   float64 `json:"tiled_vs_serial_speedup"`
-}
-
 // CalDecision is one AutoChoice outcome under the measured probe.
 type CalDecision struct {
 	N      int    `json:"n"`
@@ -105,15 +70,13 @@ type CalDecision struct {
 }
 
 // Calibration records the measured memory probe — the source of the
-// sorted plans' tile budget and the incremental plans' update burst;
-// Auto's engine choice does not consult it — and the engine Auto picks
-// on the snapshot's shapes.
+// incremental plans' update burst; Auto's engine choice does not
+// consult it — and the engine Auto picks on the snapshot's shapes.
 type Calibration struct {
 	StreamGBps float64       `json:"stream_gbps"`
 	CopyGBps   float64       `json:"copy_gbps"`
 	RandomWS   []int         `json:"random_ws_bytes"`
 	RandomNs   []float64     `json:"random_ns"`
-	TileBytes  int           `json:"tile_bytes"`
 	Decisions  []CalDecision `json:"decisions"`
 }
 
@@ -155,21 +118,19 @@ type UpdateEntry struct {
 
 // Report is the full snapshot.
 type Report struct {
-	GoVersion      string        `json:"go_version"`
-	GOOS           string        `json:"goos"`
-	GOARCH         string        `json:"goarch"`
-	GOMAXPROCS     int           `json:"gomaxprocs"`
-	NumCPU         int           `json:"num_cpu"`
-	Host           string        `json:"host"`
-	Workers        int           `json:"workers"`
-	Engines        []Entry       `json:"engines"`
-	PlanReuse      []PlanEntry   `json:"plan_reuse"`
-	SortedVsSerial []SortedEntry `json:"sorted_vs_serial"`
-	TiledVsSerial  []TiledEntry  `json:"tiled_vs_serial"`
-	Calibration    *Calibration  `json:"calibration"`
-	Batch          []BatchEntry  `json:"batch"`
-	UpdateVsRerun  []UpdateEntry `json:"update_vs_rerun"`
-	Vectorized     []VecEntry    `json:"vectorized"`
+	GoVersion     string        `json:"go_version"`
+	GOOS          string        `json:"goos"`
+	GOARCH        string        `json:"goarch"`
+	GOMAXPROCS    int           `json:"gomaxprocs"`
+	NumCPU        int           `json:"num_cpu"`
+	Host          string        `json:"host"`
+	Workers       int           `json:"workers"`
+	Engines       []Entry       `json:"engines"`
+	PlanReuse     []PlanEntry   `json:"plan_reuse"`
+	Calibration   *Calibration  `json:"calibration"`
+	Batch         []BatchEntry  `json:"batch"`
+	UpdateVsRerun []UpdateEntry `json:"update_vs_rerun"`
+	Vectorized    []VecEntry    `json:"vectorized"`
 }
 
 // genericAdd is AddInt64 without the FastOp capability: the
@@ -218,10 +179,10 @@ func measure(fn func()) (nsPerOp, allocsPerOp float64, reps int) {
 	return nsPerOp, allocsPerOp, reps
 }
 
-// measureMin is best-of-3 measure: the head-to-head engine ratios
-// (sorted_vs_serial, tiled_vs_serial) compare timings taken minutes
-// apart on a shared box, where single measurements wander ~10%; the
-// minimum is the standard noise-robust estimator for such ratios.
+// measureMin is best-of-3 measure: the update_vs_rerun ratios compare
+// timings taken apart on a shared box, where single measurements
+// wander ~10%; the minimum is the standard noise-robust estimator for
+// such ratios.
 func measureMin(fn func()) float64 {
 	best := math.Inf(1)
 	for i := 0; i < 3; i++ {
@@ -310,7 +271,7 @@ func main() {
 	log.SetPrefix("benchjson: ")
 	out := flag.String("o", "BENCH_engines.json", "output path")
 	quick := flag.Bool("quick", false, "single reduced size (CI smoke)")
-	backends := flag.String("backend", "serial,sorted,spinetree,chunked,parallel,auto",
+	backends := flag.String("backend", "serial,spinetree,chunked,parallel,auto",
 		"comma-separated backends for the plan-reuse section (registry names: "+
 			strings.Join(backend.Names(), ", ")+")")
 	flag.Parse()
@@ -360,9 +321,6 @@ func main() {
 		run("serial", "generic", func() { _, err := core.Serial(genericAdd, values, labels, sz.m); check(err) })
 		run("serial", "fast", func() { _, err := core.Serial(core.AddInt64, values, labels, sz.m); check(err) })
 		run("serial", "pooled", func() { _, err := b.Serial(core.AddInt64, values, labels, sz.m); check(err) })
-
-		run("sorted", "generic", func() { _, err := core.Sorted(genericAdd, values, labels, sz.m, cfg); check(err) })
-		run("sorted", "fast", func() { _, err := core.Sorted(core.AddInt64, values, labels, sz.m, cfg); check(err) })
 
 		run("spinetree", "generic", func() { _, err := core.Spinetree(genericAdd, values, labels, sz.m, cfg); check(err) })
 		run("spinetree", "fast", func() { _, err := core.Spinetree(core.AddInt64, values, labels, sz.m, cfg); check(err) })
@@ -424,104 +382,6 @@ func main() {
 		}
 	}
 
-	// Sorted vs serial across label counts: the planned sorted scan
-	// (sort amortized away, now dispatching the cache-tiled kernels)
-	// against the pooled serial bucket pass, at one worker — the serial
-	// regime the Auto cost model prices. The measured ratios are
-	// recorded as-is: the tiled scan wins at small m where long runs
-	// reward the interleaved chains, and cedes dense label counts to
-	// the bucket pass on hosts whose LLC holds the bucket array.
-	{
-		n := 1 << 18
-		ms := []int{1 << 4, 1 << 12}
-		if *quick {
-			n = 1 << 16
-			ms = []int{1 << 4, 1 << 10}
-		}
-		one := core.Config{Workers: 1}
-		be, err := backend.Open[int64]("sorted")
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, m := range ms {
-			values, labels := input(n, m)
-			serialNs := measureMin(func() {
-				if _, err := b.Serial(core.AddInt64, values, labels, m); err != nil {
-					log.Fatal(err)
-				}
-			})
-			plan, err := be.Plan(core.AddInt64, labels, m, one)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sortedNs := measureMin(func() {
-				if _, err := plan.Run(values); err != nil {
-					log.Fatal(err)
-				}
-			})
-			plan.Close()
-			report.SortedVsSerial = append(report.SortedVsSerial, SortedEntry{
-				N: n, M: m, Workers: 1,
-				NsSerialPooled: serialNs, NsSortedPlan: sortedNs,
-				Speedup: serialNs / sortedNs,
-			})
-			fmt.Printf("%-10s vs-serial n=%-7d m=%-5d %12.0f ns/op serial %12.0f ns/op sorted %5.2fx\n",
-				"sorted", n, m, serialNs, sortedNs, serialNs/sortedNs)
-		}
-	}
-
-	// Tiled vs untiled vs serial: the same planned sorted scan with the
-	// tile budget forced above the working set (the pre-tiling kernel)
-	// and with the calibrated budget, across a spread of label counts.
-	{
-		n := 1 << 18
-		ms := []int{1 << 4, 1 << 8, 1 << 12, 1 << 16}
-		if *quick {
-			n = 1 << 16
-			ms = []int{1 << 4, 1 << 10}
-		}
-		be, err := backend.Open[int64]("sorted")
-		if err != nil {
-			log.Fatal(err)
-		}
-		untiledCfg := core.Config{Workers: 1, AutoCal: &core.AutoCalibration{TileBytes: 1 << 30}}
-		tiledCfg := core.Config{Workers: 1}
-		for _, m := range ms {
-			values, labels := input(n, m)
-			serialNs := measureMin(func() {
-				if _, err := b.Serial(core.AddInt64, values, labels, m); err != nil {
-					log.Fatal(err)
-				}
-			})
-			timePlan := func(cfg core.Config) (float64, bool) {
-				plan, err := be.Plan(core.AddInt64, labels, m, cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer plan.Close()
-				ns := measureMin(func() {
-					if _, err := plan.Run(values); err != nil {
-						log.Fatal(err)
-					}
-				})
-				return ns, plan.Tiled()
-			}
-			untiledNs, _ := timePlan(untiledCfg)
-			tiledNs, engaged := timePlan(tiledCfg)
-			report.TiledVsSerial = append(report.TiledVsSerial, TiledEntry{
-				N: n, M: m, Workers: 1, TiledEngaged: engaged,
-				NsSerialPooled: serialNs, NsSortedUntiled: untiledNs, NsSortedTiled: tiledNs,
-				TiledVsUntiled: untiledNs / tiledNs, TiledVsSerial: serialNs / tiledNs,
-			})
-			note := ""
-			if !engaged {
-				note = "  (gate: untiled)"
-			}
-			fmt.Printf("%-10s tiled    n=%-8d m=%-5d %10.0f ns serial %10.0f ns untiled %10.0f ns tiled %5.2fx vs untiled %5.2fx vs serial%s\n",
-				"sorted", n, m, serialNs, untiledNs, tiledNs, untiledNs/tiledNs, serialNs/tiledNs, note)
-		}
-	}
-
 	// Calibration: the measured memory probe and Auto's decisions on
 	// the snapshot's shapes at one worker.
 	{
@@ -531,7 +391,6 @@ func main() {
 			CopyGBps:   p.CopyBps / 1e9,
 			RandomWS:   p.RandomWS,
 			RandomNs:   p.RandomNs,
-			TileBytes:  p.TileBytes,
 		}
 		one := core.Config{Workers: 1}
 		for _, shape := range []struct{ n, m int }{
@@ -544,8 +403,8 @@ func main() {
 			})
 		}
 		report.Calibration = c
-		fmt.Printf("%-10s probe    stream %.1f GB/s copy %.1f GB/s tile %d B\n",
-			"calib", c.StreamGBps, c.CopyGBps, c.TileBytes)
+		fmt.Printf("%-10s probe    stream %.1f GB/s copy %.1f GB/s\n",
+			"calib", c.StreamGBps, c.CopyGBps)
 	}
 
 	// Batched evaluation: one RunBatch of k vectors on a warm plan
@@ -557,7 +416,7 @@ func main() {
 			n, m = 1<<16, 1<<8
 		}
 		values, labels := input(n, m)
-		for _, name := range []string{"serial", "sorted", "chunked"} {
+		for _, name := range []string{"serial", "chunked"} {
 			be, err := backend.Open[int64](name)
 			if err != nil {
 				log.Fatal(err)
@@ -615,7 +474,6 @@ func main() {
 			fvals[i] = float64(v)
 		}
 		measureUpdate(&report, "serial", "int64", "sum", core.AddInt64, ivals, labels, m, [2]int64{3, 4}, cfg)
-		measureUpdate(&report, "sorted", "int64", "sum", core.AddInt64, ivals, labels, m, [2]int64{3, 4}, cfg)
 		measureUpdate(&report, "serial", "float64", "sum", core.AddFloat64, fvals, labels, m, [2]float64{3, 4}, cfg)
 		measureUpdate(&report, "serial", "int64", "max", core.MaxInt64, ivals, labels, m, [2]int64{3, 4}, cfg)
 	}

@@ -12,8 +12,8 @@
 //	1 2" | mp [-op add|mul|max|min] [-backend auto|serial|...] [-reduce]
 //
 // The -backend flag (alias: -engine) accepts any name in the unified
-// backend registry, including the sorted segmented-scan engine
-// ("sorted") and the simulated machines ("vector", "pram").
+// backend registry, including the simulated machines ("vector",
+// "pram").
 //
 // -update "i=v,i=v" switches to the stateful plan path: the stdin
 // vector is bound as resident plan state, each point update is applied
@@ -22,11 +22,12 @@
 // maintained multiprefix is printed. With -v the plan's maintenance
 // mode and resulting version are reported on stderr.
 //
-// -calibrate skips the computation and prints the measured memory
-// probe the auto engine calibrates against (streaming/copy bandwidth,
-// the random-access latency ladder, and the derived tile budget),
-// honoring the MP_AUTOCAL override — the hook `make calibrate-smoke`
-// checks in CI.
+// -calibrate skips the computation and prints the process calibration:
+// the measured memory probe (streaming/copy bandwidth and the
+// random-access latency ladder), the incremental update burst it
+// yields at n = 2^18, the serial crossover and Auto's choices at a few
+// shapes, honoring the MP_AUTOCAL override — the hook
+// `make calibrate-smoke` checks in CI.
 package main
 
 import (
@@ -217,9 +218,9 @@ func runStateful(be multiprefix.Backend[int64], op multiprefix.Op[int64], values
 
 // printCalibration reports the resolved process calibration — the
 // measured memory probe (or its MP_AUTOCAL=noprobe absence), the
-// derived or overridden tile budget, and the auto decisions it
-// produces at a few reference shapes — in a stable "key values"
-// format for the calibrate-smoke CI check.
+// measured or overridden incremental update burst at n = 2^18, the
+// serial crossover, and the auto decisions at a few reference shapes —
+// in a stable "key values" format for the calibrate-smoke CI check.
 func printCalibration() {
 	cal := core.DefaultCalibration()
 	w := bufio.NewWriter(os.Stdout)
@@ -240,7 +241,7 @@ func printCalibration() {
 	} else {
 		fmt.Fprintln(w, "probe disabled (MP_AUTOCAL=noprobe)")
 	}
-	fmt.Fprintf(w, "tile_bytes %d\n", core.AutoTileBytes(multiprefix.Config{}))
+	fmt.Fprintf(w, "update_burst %d %d\n", 1<<18, core.AutoUpdateBurst(1<<18, multiprefix.Config{}))
 	fmt.Fprintf(w, "serial_max %d\n", cal.SerialMax)
 	for _, shape := range []struct{ n, m int }{
 		{1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12}, {1 << 20, 1 << 16},

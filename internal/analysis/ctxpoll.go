@@ -46,7 +46,6 @@ var pollNames = map[string]bool{
 	"interrupted": true,
 	"first":       true, // chunked engine's first-error latch
 	"stop":        true,
-	"sortedStop":  true,
 	"BudgetErr":   true, // service budget gate doubles as a poll
 }
 

@@ -22,7 +22,6 @@ type kind uint8
 const (
 	kindAuto kind = iota
 	kindSerial
-	kindSorted
 	kindSpinetree
 	kindChunked
 	kindParallel
@@ -65,7 +64,6 @@ var registry = []struct {
 }{
 	{"auto", kindAuto},
 	{"serial", kindSerial},
-	{"sorted", kindSorted},
 	{"spinetree", kindSpinetree},
 	{"chunked", kindChunked},
 	{"parallel", kindParallel},
@@ -148,8 +146,6 @@ func (b impl[T]) Compute(op core.Op[T], values []T, labels []int, m int, cfg cor
 			return core.Result[T]{}, err
 		}
 		return core.Serial(op, values, labels, m)
-	case kindSorted:
-		return core.Sorted(op, values, labels, m, cfg)
 	case kindSpinetree:
 		return core.Spinetree(op, values, labels, m, cfg)
 	case kindChunked:
@@ -172,8 +168,6 @@ func (b impl[T]) Reduce(op core.Op[T], values []T, labels []int, m int, cfg core
 			return nil, err
 		}
 		return core.SerialReduce(op, values, labels, m)
-	case kindSorted:
-		return core.SortedReduce(op, values, labels, m, cfg)
 	case kindSpinetree:
 		return core.SpinetreeReduce(op, values, labels, m, cfg)
 	case kindChunked:

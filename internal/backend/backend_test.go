@@ -37,14 +37,14 @@ func equalInt64(a, b []int64) bool {
 // degenerate to one chunk on small CI machines.
 func backendCfg(name string) core.Config {
 	switch name {
-	case "chunked", "parallel", "sorted":
+	case "chunked", "parallel":
 		return core.Config{Workers: 4}
 	}
 	return core.Config{}
 }
 
 func TestNames(t *testing.T) {
-	want := []string{"auto", "serial", "sorted", "spinetree", "chunked", "parallel", "vector", "pram"}
+	want := []string{"auto", "serial", "spinetree", "chunked", "parallel", "vector", "pram"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -98,6 +98,12 @@ func TestOpenUnknown(t *testing.T) {
 	}
 	if _, err := Reduce("hypercube", core.AddInt64, nil, nil, 0, core.Config{}); !errors.As(err, &unknown) {
 		t.Errorf("Reduce: %v", err)
+	}
+	// The retired sort-scan and sharded backends are unknown names too.
+	for _, name := range []string{"sorted", "sharded"} {
+		if _, err := Open[int64](name); !errors.As(err, &unknown) || unknown.Name != name {
+			t.Errorf("Open(%q): %v, want *UnknownBackendError", name, err)
+		}
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 // This file is batched Plan execution: evaluating k value vectors
 // against one planned label structure in a single call. Every backend
 // supports it — the default is the per-vector loop over run/reduce
-// with a copy into the caller's destination — and the serial,
-// sort-scan, chunked and vector plans run fused implementations that
-// write each vector's results directly into the caller's storage (no
-// copy) and, for the chunked plan, drive the worker team once for the
-// whole batch instead of once per vector.
+// with a copy into the caller's destination — and the serial, chunked
+// and vector plans run fused implementations that write each vector's
+// results directly into the caller's storage (no copy) and, for the
+// chunked plan, drive the worker team once for the whole batch
+// instead of once per vector.
 //
 // The fused chunked body synchronizes with a fixed number of
 // inner-barrier arrivals per vector (two). That count is

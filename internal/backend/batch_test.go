@@ -33,8 +33,8 @@ func batchInput(rng *rand.Rand, n, m, k int) (labels []int, srcs, multiDsts, red
 
 // TestBatchParity is the batch half of the tentpole: RunBatch and
 // ReduceBatch on every registered backend must equal k independent
-// serial evaluations — exercising the fused serial, sorted (serial and
-// team), chunked-team and vector paths plus the generic loop.
+// serial evaluations — exercising the fused serial, chunked-team and
+// vector paths plus the generic loop.
 func TestBatchParity(t *testing.T) {
 	const n, m, k = 1500, 24, 3
 	rng := rand.New(rand.NewSource(91))
@@ -72,7 +72,7 @@ func TestBatchParity(t *testing.T) {
 	}
 }
 
-// TestBatchWorkerMatrix stresses the fused team paths: sorted and
+// TestBatchWorkerMatrix stresses the fused batch paths: serial and
 // chunked batches across worker counts and the carry-heavy label
 // shapes, with results checked against per-vector serial runs.
 func TestBatchWorkerMatrix(t *testing.T) {
@@ -90,7 +90,7 @@ func TestBatchWorkerMatrix(t *testing.T) {
 			multiDsts[j] = make([]int64, n)
 			redDsts[j] = make([]int64, shape.m)
 		}
-		for _, name := range []string{"sorted", "chunked"} {
+		for _, name := range []string{"serial", "chunked"} {
 			be, err := Open[int64](name)
 			if err != nil {
 				t.Fatal(err)
@@ -126,7 +126,7 @@ func TestBatchWorkerMatrix(t *testing.T) {
 
 // TestRunBatchZeroAllocs asserts the batch perf property: a warm plan
 // evaluates a whole batch with zero heap allocations on the fused
-// paths (serial, sorted serial and team, chunked team).
+// paths (serial at any worker count, chunked team).
 func TestRunBatchZeroAllocs(t *testing.T) {
 	values, labels, m := planAllocInput()
 	const k = 4
@@ -143,8 +143,7 @@ func TestRunBatchZeroAllocs(t *testing.T) {
 		cfg  core.Config
 	}{
 		{"serial", core.Config{}},
-		{"sorted", core.Config{Workers: 1}},
-		{"sorted", core.Config{Workers: 4}},
+		{"serial", core.Config{Workers: 4}},
 		{"chunked", core.Config{Workers: 4}},
 	}
 	for _, tc := range cases {
@@ -254,7 +253,7 @@ func TestBatchCancellation(t *testing.T) {
 		cfg  core.Config
 	}{
 		{"serial", core.Config{Ctx: ctx}},
-		{"sorted", core.Config{Ctx: ctx, Workers: 4}},
+		{"serial", core.Config{Ctx: ctx, Workers: 4}},
 		{"chunked", core.Config{Ctx: ctx, Workers: 4}},
 		{"auto", core.Config{Ctx: ctx, Workers: 4, AutoCal: &core.AutoCalibration{SerialMax: 0}}},
 	} {
@@ -294,7 +293,7 @@ func TestBatchPanicRecovery(t *testing.T) {
 		},
 		IsIdentity: func(x int64) bool { return x == 0 },
 	}
-	for _, name := range []string{"sorted", "chunked"} {
+	for _, name := range []string{"serial", "chunked"} {
 		fired.Store(false)
 		be, err := Open[int64](name)
 		if err != nil {

@@ -10,28 +10,29 @@ import (
 	"multiprefix/internal/core"
 )
 
-// cancelAtScanCombine is a FaultHook that cancels a context at the
-// k-th sorted-scan combine — a deterministic way to cancel a batch
-// between two of its vectors: scan combines number exactly n per
-// vector, so firing at n*v+1 cancels at the first combine of vector
-// v.
-type cancelAtScanCombine struct {
+// cancelAtLocalCombine is a FaultHook that cancels a context at the
+// k-th combine of the chunked plan's local bucket pass — a
+// deterministic way to cancel a batch between two of its vectors:
+// local combines number exactly n per vector and all of a vector's
+// precede the barrier before its merge, so firing at n*v+1 cancels
+// inside the local pass of vector v.
+type cancelAtLocalCombine struct {
 	at     int64
 	count  atomic.Int64
 	cancel context.CancelFunc
 }
 
-func (h *cancelAtScanCombine) Combine(phase string, _ int) {
-	if phase == core.PhaseSortedScan && h.count.Add(1) == h.at {
+func (h *cancelAtLocalCombine) Combine(phase string, _ int) {
+	if phase == core.PhaseChunkLocal && h.count.Add(1) == h.at {
 		h.cancel()
 	}
 }
-func (h *cancelAtScanCombine) Barrier(string, int)          {}
-func (h *cancelAtScanCombine) SpineTest(_ int, s bool) bool { return s }
+func (h *cancelAtLocalCombine) Barrier(string, int)          {}
+func (h *cancelAtLocalCombine) SpineTest(_ int, s bool) bool { return s }
 
-// TestSortedBatchCancelMidBatch cancels Config.Ctx between vectors of
-// a sorted RunBatch/ReduceBatch — on the single-worker fused loop and
-// on the team path across worker counts — and asserts the three
+// TestSortedBatchCancelMidBatch (named for the retired sort-scan plan
+// it first covered) cancels Config.Ctx between vectors of a chunked
+// RunBatch/ReduceBatch across worker counts and asserts the three
 // robustness properties the service relies on: the batch fails with
 // the typed cancellation (never partial success), vectors past the
 // cancellation point are untouched, and the team stays healthy: the
@@ -59,7 +60,7 @@ func TestSortedBatchCancelMidBatch(t *testing.T) {
 		}
 		wants[j] = want
 	}
-	be, err := Open[int64]("sorted")
+	be, err := Open[int64]("chunked")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +81,10 @@ func TestSortedBatchCancelMidBatch(t *testing.T) {
 					dsts[j][i] = sentinel
 				}
 			}
-			// Cancel at the first scan combine of vector 1: vectors 2
-			// and 3 must never be touched.
+			// Cancel in the local pass of vector 1: vectors 2 and 3
+			// must never be touched.
 			ctx, cancel := context.WithCancel(context.Background())
-			hook := &cancelAtScanCombine{at: n + 1, cancel: cancel}
+			hook := &cancelAtLocalCombine{at: n + 1, cancel: cancel}
 			call := Call{Ctx: ctx, Hook: hook}
 			var cerr error
 			if reduceOnly {

@@ -96,7 +96,7 @@ func TestPlanConcurrentBatch(t *testing.T) {
 // call — so the test inspects errors, not contents.
 func TestPlanConcurrentRunSerializes(t *testing.T) {
 	values, labels, m := planAllocInput()
-	for _, name := range []string{"serial", "sorted", "chunked", "auto"} {
+	for _, name := range []string{"serial", "chunked", "auto"} {
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestPlanConcurrentCallIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sorted", "chunked"} {
+	for _, name := range []string{"chunked"} {
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)

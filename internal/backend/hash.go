@@ -1,7 +1,7 @@
 package backend
 
-// Plan construction is O(n log n)-ish work (validation, counting
-// sort, chunk decomposition) over a label vector that repeat traffic
+// Plan construction is O(n log n)-ish work (validation, class
+// counting, chunk decomposition) over a label vector that repeat traffic
 // sends unchanged; a service caches plans keyed by their full
 // construction input. Key is that cache key: the cheap comparable
 // part — backend and operator names, shapes, and a 64-bit label

@@ -10,11 +10,11 @@ import (
 // This file is the stateful half of Plan (DESIGN.md §14): a plan can
 // *bind* a resident value vector and then serve point updates and
 // point queries against it far cheaper than re-running the whole
-// pipeline. The label structure the plan already computed at build
-// time — the counting-sort permutation and per-label run bounds — is
-// exactly what makes a per-label prefix a difference of two whole-
-// array prefixes over the sorted order, so a single Fenwick tree per
-// plan maintains every label at once:
+// pipeline. A stable counting sort of the labels, built once at the
+// first Bind — the permutation and per-label run bounds — makes a
+// per-label prefix a difference of two whole-array prefixes over the
+// sorted order, so a single Fenwick tree per plan maintains every
+// label at once:
 //
 //	multi[i]  = prefix(ipos[i]) - prefix(istart[label[i]])
 //	red[c]    = prefix(istart[c+1]) - prefix(istart[c])
@@ -204,8 +204,8 @@ func (p *Plan[T]) bindLocked(values []T) error {
 
 // prepareIncremental is the one-time (first Bind) setup: resident and
 // snapshot storage, the maintenance tier, and — for the Fenwick tiers
-// — the sorted index (reusing a sort-scan plan's own permutation),
-// its inverse, the tree and the calibrated burst.
+// — the counting-sort index, its inverse, the tree and the calibrated
+// burst.
 //
 //mp:locked
 func (p *Plan[T]) prepareIncremental() {
@@ -219,13 +219,9 @@ func (p *Plan[T]) prepareIncremental() {
 	if p.imode == incNone {
 		return
 	}
-	if e, ok := p.exec.(*sortExec[T]); ok {
-		p.iperm, p.istart = e.perm, e.start
-	} else {
-		p.iperm = make([]int32, p.n)
-		p.istart = make([]int32, p.m+1)
-		core.BuildSortedIndexInto(p.iperm, p.istart, p.labels)
-	}
+	p.iperm = make([]int32, p.n)
+	p.istart = make([]int32, p.m+1)
+	core.BuildSortedIndexInto(p.iperm, p.istart, p.labels)
 	p.ipos = make([]int32, p.n)
 	for k, i := range p.iperm {
 		p.ipos[i] = int32(k)

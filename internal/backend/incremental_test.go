@@ -73,10 +73,9 @@ func checkIncParity[T comparable](t *testing.T, name string, p *Plan[T], op core
 // TestIncrementalUpdateParity drives a random update/query stream
 // through every registered backend's plan and checks each answer
 // against a full serial recompute. int64 sum is exact under any
-// association, so every backend must agree bit for bit. A sort-scan
-// plan's permutation is the one global counting sort at any worker
-// count, so the Fenwick tier must alias it rather than build its own;
-// the extra Workers:2 plan pins that independently of GOMAXPROCS.
+// association, so every backend must agree bit for bit. The extra
+// Workers:2 chunked plan pins a team-run refresh independently of
+// GOMAXPROCS.
 func TestIncrementalUpdateParity(t *testing.T) {
 	const n, m = 96, 7
 	values, labels, _ := refInput(7, n, m)
@@ -88,18 +87,12 @@ func TestIncrementalUpdateParity(t *testing.T) {
 	for _, name := range Names() {
 		cases = append(cases, planCase{name, backendCfg(name)})
 	}
-	cases = append(cases, planCase{"sorted", core.Config{Workers: 2}})
+	cases = append(cases, planCase{"chunked", core.Config{Workers: 2}})
 	for _, tc := range cases {
 		name := tc.name
 		p := incPlan(t, name, core.AddInt64, labels, m, tc.cfg)
 		if err := p.Bind(values); err != nil {
 			t.Fatalf("%s: Bind: %v", name, err)
-		}
-		if name == "sorted" {
-			e, ok := p.exec.(*sortExec[int64])
-			if !ok || &p.iperm[0] != &e.perm[0] || &p.istart[0] != &e.start[0] {
-				t.Fatalf("%s/w%d: Fenwick index does not alias the plan's counting sort", name, tc.cfg.Workers)
-			}
 		}
 		vals := append([]int64(nil), values...)
 		rng := rand.New(rand.NewSource(11))
@@ -159,7 +152,7 @@ func TestIncrementalFloat64SafeStaysExact(t *testing.T) {
 		labels[i] = rng.Intn(m)
 		vals[i] = float64(rng.Intn(2001) - 1000)
 	}
-	for _, name := range []string{"serial", "sorted", "auto"} {
+	for _, name := range []string{"serial", "chunked", "auto"} {
 		p := incPlan(t, name, core.AddFloat64, labels, m, backendCfg(name))
 		if err := p.Bind(vals); err != nil {
 			t.Fatalf("%s: Bind: %v", name, err)
@@ -259,7 +252,7 @@ func TestIncrementalFloat64DriftFallsBack(t *testing.T) {
 func TestIncrementalNonInvertibleReruns(t *testing.T) {
 	const n, m = 64, 6
 	values, labels, _ := refInput(3, n, m)
-	for _, name := range []string{"serial", "sorted", "chunked"} {
+	for _, name := range []string{"serial", "parallel", "chunked"} {
 		p := incPlan(t, name, core.MaxInt64, labels, m, backendCfg(name))
 		if err := p.Bind(values); err != nil {
 			t.Fatalf("%s: Bind: %v", name, err)
@@ -352,8 +345,8 @@ func TestIncrementalBurstFallback(t *testing.T) {
 func TestIncrementalVersionNotKey(t *testing.T) {
 	const n, m = 32, 3
 	values, labels, _ := refInput(1, n, m)
-	p := incPlan(t, "sorted", core.AddInt64, labels, m, backendCfg("sorted"))
-	key := KeyFor("sorted", core.AddInt64.Name, labels, m)
+	p := incPlan(t, "serial", core.AddInt64, labels, m, backendCfg("serial"))
+	key := KeyFor("serial", core.AddInt64.Name, labels, m)
 	if v := p.Version(); v != 0 {
 		t.Fatalf("fresh plan version = %d, want 0", v)
 	}
@@ -378,7 +371,7 @@ func TestIncrementalVersionNotKey(t *testing.T) {
 	if v := p.Version(); v != 6 {
 		t.Fatalf("version after query = %d, want 6", v)
 	}
-	if got := KeyFor("sorted", core.AddInt64.Name, labels, m); got != key {
+	if got := KeyFor("serial", core.AddInt64.Name, labels, m); got != key {
 		t.Fatalf("cache key changed across updates: %+v != %+v", got, key)
 	}
 	ver, err := p.Snapshot(nil, nil)
@@ -472,13 +465,13 @@ func TestIncrementalBindCancelLeavesUnbound(t *testing.T) {
 }
 
 // TestIncrementalRefreshUnderChaos drives the re-run tier (max on the
-// sorted engine) into an injected panic: the query reports the typed
+// chunked engine) into an injected panic: the query reports the typed
 // engine fault, and a later hook-free query heals — the model for the
 // service's hook-free retry rung on the stateful endpoints.
 func TestIncrementalRefreshUnderChaos(t *testing.T) {
 	const n, m = 128, 8
 	values, labels, _ := refInput(6, n, m)
-	p := incPlan(t, "sorted", core.MaxInt64, labels, m, backendCfg("sorted"))
+	p := incPlan(t, "chunked", core.MaxInt64, labels, m, backendCfg("chunked"))
 	if err := p.Bind(values); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +528,7 @@ func TestIncrementalEmptyPlan(t *testing.T) {
 func TestConcurrentUpdateQueryRun(t *testing.T) {
 	const n, m = 256, 16
 	values, labels, _ := refInput(8, n, m)
-	p := incPlan(t, "sorted", core.AddInt64, labels, m, backendCfg("sorted"))
+	p := incPlan(t, "serial", core.AddInt64, labels, m, backendCfg("serial"))
 	if err := p.Bind(values); err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +580,7 @@ func TestConcurrentUpdateQueryRun(t *testing.T) {
 		return
 	}
 	// final was only written by the (now joined) updater goroutine.
-	checkIncParity(t, "sorted", p, core.AddInt64, final, labels, m)
+	checkIncParity(t, "serial", p, core.AddInt64, final, labels, m)
 }
 
 // TestUpdateZeroAllocs pins the warm-path allocation contract of the

@@ -18,10 +18,10 @@ import (
 
 // executor is one engine kind's planned execution: the structures the
 // engine built at plan time plus its evaluation bodies. There is one
-// implementation per engine kind — serial, sort-scan (sortscan.go),
-// chunked (chunked.go), buffers (spinetree and parallel), vector and
-// pram. Every method runs under the Plan's lock with inputs already
-// validated; run and reduce results alias executor-owned storage.
+// implementation per engine kind — serial, chunked (chunked.go),
+// buffers (spinetree and parallel), vector and pram. Every method runs
+// under the Plan's lock with inputs already validated; run and reduce
+// results alias executor-owned storage.
 type executor[T any] interface {
 	run(values []T) (core.Result[T], error)
 	reduce(values []T) ([]T, error)
@@ -100,9 +100,9 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	imode incMode // maintenance tier (operator + element type)
 	//mp:guarded-by mu
-	iperm []int32 // counting-sort permutation (aliases a sort-scan plan's)
+	iperm []int32 // counting-sort permutation
 	//mp:guarded-by mu
-	istart []int32 // per-label run bounds, len m+1 (aliased likewise)
+	istart []int32 // per-label run bounds, len m+1
 	//mp:guarded-by mu
 	ipos []int32 // inverse permutation: sorted position of element i
 	//mp:guarded-by mu
@@ -242,13 +242,9 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		// fallback-to-serial degradation of the one-shot Auto engine
 		// is preserved per run.
 		p.fallback = true
-		switch core.AutoPlanChoice(p.n, m, cfg) {
-		case "chunked":
+		k = kindSerial
+		if core.AutoPlanChoice(p.n, m, cfg) == "chunked" {
 			k = kindChunked
-		case "parallel":
-			k = kindParallel
-		default:
-			k = kindSerial
 		}
 	}
 	exec, err := p.newExecutor(k)
@@ -267,8 +263,6 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 //mp:locked
 func (p *Plan[T]) newExecutor(k kind) (executor[T], error) {
 	switch k {
-	case kindSorted:
-		return newSortExec(p)
 	case kindChunked:
 		return newChunkExec(p), nil
 	case kindSpinetree, kindParallel:

@@ -11,9 +11,9 @@ import (
 )
 
 // sortedShapes builds label vectors that stress run and partition
-// edges: a single giant run swallowing several worker chunks or tile
-// windows, runs aligned exactly on 4-way partition boundaries,
-// leading/trailing empty labels, heavy skew, and a sparse label space.
+// edges: a single giant run swallowing several worker chunks, runs
+// aligned exactly on 4-way partition boundaries, leading/trailing
+// empty labels, heavy skew, and a sparse label space.
 func sortedShapes(rng *rand.Rand, n int) []struct {
 	name   string
 	labels []int
@@ -65,16 +65,16 @@ func sortedShapes(rng *rand.Rand, n int) []struct {
 	}
 }
 
-// The retired sharded engine's tests keep their names below, each
-// beside its sorted sibling: a multi-worker sorted plan is what a
-// sharded request has become, so each runs its old check on sorted
-// plans at the shard counts that engine swept, as Workers values the
-// single scan must ignore.
+// The tests below keep the names of the retired sort-scan, sharded
+// and cache-tiled backends' tests. The sort-scan plan was a planned,
+// bit-identical serial pass, so each now runs its old check on serial
+// plans — a planned serial pass whatever Workers says — at the worker
+// counts it swept; the one check that needs fault hooks runs on
+// chunked plans, since serial plans never observe hooks.
 
-// TestSortedPlanCarryMatrix runs the planned sorted engine across a
-// worker × label-shape matrix against the serial reference: every op,
-// every shape, and worker counts the plan must ignore — a sorted plan
-// is one serial scan whatever Workers says.
+// TestSortedPlanCarryMatrix runs planned serial passes across a
+// worker × label-shape matrix against the one-shot serial reference:
+// every op, every shape, and worker counts the plan must ignore.
 func TestSortedPlanCarryMatrix(t *testing.T) {
 	checkSortedPlanMatrix(t, 81, []int{1, 2, 3, 4, 8})
 }
@@ -85,14 +85,20 @@ func TestShardedPlanParityMatrix(t *testing.T) {
 	checkSortedPlanMatrix(t, 91, []int{1, 2, 3, 5, 7, 8})
 }
 
-// checkSortedPlanMatrix checks sorted plans at each worker count
+// TestTiledPlanParity runs the same matrix from the retired tiled
+// plans' seed and worker counts.
+func TestTiledPlanParity(t *testing.T) {
+	checkSortedPlanMatrix(t, 71, []int{1, 2, 4})
+}
+
+// checkSortedPlanMatrix checks serial plans at each worker count
 // against core.Serial for every int64 op on every sortedShapes shape,
 // through two rounds of Run and Reduce.
 func checkSortedPlanMatrix(t *testing.T, seed int64, workerCounts []int) {
 	t.Helper()
 	const n = 1023 // off the power-of-two partition bounds
 	rng := rand.New(rand.NewSource(seed))
-	be, err := Open[int64]("sorted")
+	be, err := Open[int64]("serial")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +139,9 @@ func checkSortedPlanMatrix(t *testing.T, seed int64, workerCounts []int) {
 	}
 }
 
-// TestSortedPlanGenericOp drives the planned sorted engine through the
-// generic kernels with a non-commutative operator: combine order
-// through the permutation must reproduce the serial order exactly, at
-// every worker count.
+// TestSortedPlanGenericOp drives serial plans through the generic
+// path with a non-commutative operator: the planned combine order must
+// reproduce the one-shot serial order exactly, at every worker count.
 func TestSortedPlanGenericOp(t *testing.T) {
 	concat := core.Op[string]{
 		Name:     "concat",
@@ -152,7 +157,7 @@ func TestShardedGenericOrder(t *testing.T) {
 	checkSortedPlanOrder(t, core.ConcatString, 95, []int{1, 3, 4, 7})
 }
 
-// checkSortedPlanOrder checks that sorted plans at each worker count
+// checkSortedPlanOrder checks that serial plans at each worker count
 // reproduce core.Serial exactly under the non-commutative op concat.
 func checkSortedPlanOrder(t *testing.T, concat core.Op[string], seed int64, workerCounts []int) {
 	t.Helper()
@@ -168,7 +173,7 @@ func checkSortedPlanOrder(t *testing.T, concat core.Op[string], seed int64, work
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := Open[string]("sorted")
+	be, err := Open[string]("serial")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +214,9 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestSortedFloat64BitIdentity pins the sorted plan's exactness
-// contract: one serial scan in Definition 1's combine order, so float64
-// sums far outside the 2^52/n integer envelope — where any
+// TestSortedFloat64BitIdentity pins the serial plan's exactness
+// contract: one pass in Definition 1's combine order, so float64 sums
+// far outside the 2^52/n integer envelope — where any
 // re-parenthesization changes rounding — come out bit-identical to
 // core.Serial at every worker count, through Run, Reduce and RunBatch.
 func TestSortedFloat64BitIdentity(t *testing.T) {
@@ -234,7 +239,7 @@ func TestSortedFloat64BitIdentity(t *testing.T) {
 		}
 		wants[j] = want
 	}
-	be, err := Open[float64]("sorted")
+	be, err := Open[float64]("serial")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,25 +278,108 @@ func TestSortedFloat64BitIdentity(t *testing.T) {
 	}
 }
 
-// TestSortedPlanZeroAllocs asserts the tentpole perf property for the
-// sorted engine: a warm sorted Plan runs at zero steady-state heap
-// allocations for Run and Reduce, whatever its worker count.
+// TestTiledPlanFloat64BitExact extends the float64 pin to NaN and ±0
+// under both the additive and the comparison kernels.
+func TestTiledPlanFloat64BitExact(t *testing.T) {
+	const n, m = 2000, 13
+	rng := rand.New(rand.NewSource(73))
+	values := make([]float64, n)
+	labels := make([]int, n)
+	for i := range values {
+		values[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(24)-12))
+		labels[i] = rng.Intn(m)
+	}
+	values[100] = math.NaN()
+	values[200] = math.Copysign(0, -1)
+	values[300] = 0
+	be, err := Open[float64]("serial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []core.Op[float64]{core.AddFloat64, core.MaxFloat64} {
+		want, err := core.Serial(op, values, labels, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := be.Plan(op, labels, m, core.Config{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := plan.Run(values)
+		if err != nil {
+			t.Fatalf("%s: %v", op.Name, err)
+		}
+		if !bitsEqual(res.Multi, want.Multi) || !bitsEqual(res.Reductions, want.Reductions) {
+			t.Fatalf("%s: Run not bit-identical to serial", op.Name)
+		}
+		plan.Close()
+	}
+}
+
+// TestTiledBatchParity covers RunBatch and ReduceBatch on a serial
+// plan over two rounds, at one and four workers.
+func TestTiledBatchParity(t *testing.T) {
+	const n, m, k = 1500, 24, 3
+	rng := rand.New(rand.NewSource(75))
+	labels, srcs, multiDsts, redDsts := batchInput(rng, n, m, k)
+	be, err := Open[int64]("serial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			if err := plan.RunBatch(multiDsts, srcs); err != nil {
+				t.Fatalf("w%d round %d: RunBatch: %v", workers, round, err)
+			}
+			if err := plan.ReduceBatch(redDsts, srcs); err != nil {
+				t.Fatalf("w%d round %d: ReduceBatch: %v", workers, round, err)
+			}
+			for j := 0; j < k; j++ {
+				want, err := core.Serial(core.AddInt64, srcs[j], labels, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalInt64(multiDsts[j], want.Multi) || !equalInt64(redDsts[j], want.Reductions) {
+					t.Fatalf("w%d round %d: batch vector %d differs from serial", workers, round, j)
+				}
+			}
+		}
+		plan.Close()
+	}
+}
+
+// TestSortedPlanZeroAllocs asserts that a warm serial Plan runs Run,
+// Reduce, RunBatch, RunBatchCall and ReduceBatch at zero steady-state
+// heap allocations, whatever its worker count.
 func TestSortedPlanZeroAllocs(t *testing.T) {
-	checkSortedPlanZeroAllocs(t, []int{1, 4})
+	checkSortedPlanZeroAllocs(t, []int{1})
 }
 
 // TestShardedPlanZeroAllocs pins zero allocations at the team sizes
-// the retired sharded engine ran, which the sorted plan must ignore.
+// the retired sharded engine ran, which the serial plan must ignore.
 func TestShardedPlanZeroAllocs(t *testing.T) {
 	checkSortedPlanZeroAllocs(t, []int{2, 8})
 }
 
-// checkSortedPlanZeroAllocs asserts a warm sorted plan at each worker
-// count allocates nothing per Run or Reduce.
+// TestTiledPlanZeroAllocs pins zero allocations at the retired tiled
+// plans' four workers.
+func TestTiledPlanZeroAllocs(t *testing.T) {
+	checkSortedPlanZeroAllocs(t, []int{4})
+}
+
+// checkSortedPlanZeroAllocs asserts a warm serial plan at each worker
+// count allocates nothing per Run, Reduce or batch call.
 func checkSortedPlanZeroAllocs(t *testing.T, workerCounts []int) {
 	t.Helper()
-	values, labels, m := planAllocInput()
-	be, err := Open[int64]("sorted")
+	const n, m, k = 1 << 13, 128, 3
+	rng := rand.New(rand.NewSource(79))
+	labels, srcs, multiDsts, redDsts := batchInput(rng, n, m, k)
+	values := srcs[0]
+	be, err := Open[int64]("serial")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,45 +388,49 @@ func checkSortedPlanZeroAllocs(t *testing.T, workerCounts []int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() {
-			if _, err := plan.Run(values); err != nil {
-				t.Fatal(err)
+		calls := []struct {
+			name string
+			fn   func() error
+		}{
+			{"Run", func() error { _, err := plan.Run(values); return err }},
+			{"Reduce", func() error { _, err := plan.Reduce(values); return err }},
+			{"RunBatch", func() error { return plan.RunBatch(multiDsts, srcs) }},
+			{"RunBatchCall", func() error { return plan.RunBatchCall(Call{}, multiDsts, srcs) }},
+			{"ReduceBatch", func() error { return plan.ReduceBatch(redDsts, srcs) }},
+		}
+		for _, c := range calls {
+			run := func() {
+				if err := c.fn(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		reduce := func() {
-			if _, err := plan.Reduce(values); err != nil {
-				t.Fatal(err)
+			run() // warm the plan storage
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				t.Errorf("w%d: %s %.1f allocs/run, want 0", workers, c.name, allocs)
 			}
-		}
-		run()
-		reduce() // warm the plan storage
-		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-			t.Errorf("w%d: Run %.1f allocs/run, want 0", workers, allocs)
-		}
-		if allocs := testing.AllocsPerRun(5, reduce); allocs != 0 {
-			t.Errorf("w%d: Reduce %.1f allocs/run, want 0", workers, allocs)
 		}
 		plan.Close()
 	}
 }
 
-// TestSortedPlanPanicRecovery: an injected combine panic inside the
-// scan surfaces as the typed engine-panic error attributed to the
-// sorted engine, and the plan survives for the next run.
+// TestSortedPlanPanicRecovery: a combine panic inside a serial plan's
+// pass surfaces as the typed engine-panic error attributed to the
+// planned serial engine, and the plan survives for the next run.
 func TestSortedPlanPanicRecovery(t *testing.T) {
 	checkSortedPlanPanicRecovery(t, 85, 4)
 }
 
 // TestShardedPlanPanicRecovery runs the same recovery check at the
-// retired sharded engine's largest shard count; the scan is the only
-// phase left to fault, its carry exchange being gone.
+// retired sharded engine's largest shard count.
 func TestShardedPlanPanicRecovery(t *testing.T) {
 	checkSortedPlanPanicRecovery(t, 101, 8)
 }
 
-// checkSortedPlanPanicRecovery injects a combine panic into the scan
-// of a sorted plan built with the given worker count, then checks the
-// typed error, its engine name, and a correct run once disarmed.
+// checkSortedPlanPanicRecovery arms an operator to panic at one
+// combine of a serial plan built with the given worker count, then
+// checks the typed error, its engine name, and a correct run once
+// disarmed. Serial plans never observe fault hooks, so the panic comes
+// from the operator itself.
 func checkSortedPlanPanicRecovery(t *testing.T, seed int64, workers int) {
 	t.Helper()
 	const n, m = 2000, 16
@@ -353,12 +445,23 @@ func checkSortedPlanPanicRecovery(t *testing.T, seed int64, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.Seeded(13, n, core.PhaseSortedScan)
-	be, err := Open[int64]("sorted")
+	armed := true
+	combines := 0
+	op := core.Op[int64]{
+		Name:     "+int64 (armed panic)",
+		Identity: 0,
+		Combine: func(a, b int64) int64 {
+			if combines++; armed && combines == n/2 {
+				panic("injected")
+			}
+			return a + b
+		},
+	}
+	be, err := Open[int64]("serial")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Workers: workers, FaultHook: inj})
+	plan, err := be.Plan(op, labels, m, core.Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,15 +470,12 @@ func checkSortedPlanPanicRecovery(t *testing.T, seed int64, workers int) {
 	if _, err := plan.Run(values); !errors.As(err, &pe) {
 		t.Fatalf("want EnginePanicError, got %v", err)
 	}
-	if pe.Engine != "plan/sorted" {
+	if pe.Engine != "plan/serial" {
 		t.Fatalf("Engine = %q", pe.Engine)
 	}
-	if inj.Combines.Load() == 0 {
-		t.Fatal("fault hook never fired")
-	}
 
-	// Disarm the injector: the same plan must now succeed.
-	inj.PanicEvent = fault.EventNone
+	// Disarm the operator: the same plan must now succeed.
+	armed = false
 	res, err := plan.Run(values)
 	if err != nil {
 		t.Fatalf("run after recovered panic: %v", err)
@@ -385,9 +485,50 @@ func checkSortedPlanPanicRecovery(t *testing.T, seed int64, workers int) {
 	}
 }
 
-// FuzzSortedParity cross-checks the sorted backend — one-shot and
-// planned, across worker counts, int64 and non-integer float64 — against
-// the serial reference on fuzz-chosen shapes.
+// TestTiledFaultHookDemotes: a FaultHook demotes the fast kernels at
+// dispatch, so a chunked plan with a hook runs the generic path — the
+// hook observes every local combine and the results still match
+// serial.
+func TestTiledFaultHookDemotes(t *testing.T) {
+	const n, m = 2000, 16
+	rng := rand.New(rand.NewSource(77))
+	values := make([]int64, n)
+	labels := make([]int, n)
+	for i := range values {
+		values[i] = int64(rng.Intn(100))
+		labels[i] = rng.Intn(m)
+	}
+	want, err := core.Serial(core.AddInt64, values, labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New() // inert: counts every event, injects nothing
+	be, err := Open[int64]("chunked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Workers: 4, FaultHook: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Close()
+	res, err := plan.Run(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
+		t.Fatal("hooked run on chunked plan differs from serial")
+	}
+	if c := inj.Combines.Load(); c < n {
+		t.Fatalf("fault hook observed %d combines, want at least %d: run did not demote to the generic path", c, n)
+	}
+}
+
+// FuzzSortedParity cross-checks the serial backend — one-shot and
+// planned, across worker counts, int64 and non-integer float64 —
+// against the one-shot serial reference on fuzz-chosen shapes. It runs
+// its seed corpus under go test; the fuzz-smoke gate fuzzes the
+// counting-sort index instead (FuzzSortedIndex in internal/core).
 func FuzzSortedParity(f *testing.F) {
 	f.Add(int64(1), uint16(512), uint8(16), uint8(4))
 	f.Add(int64(3), uint16(1), uint8(1), uint8(2))
@@ -426,25 +567,18 @@ func sortedParity(maxWorkers int) func(t *testing.T, seed int64, nRaw uint16, mR
 		if err != nil {
 			t.Fatal(err)
 		}
-		fres, err := Compute("sorted", core.AddFloat64, fvalues, labels, m, core.Config{Workers: workers})
+		fres, err := Compute("serial", core.AddFloat64, fvalues, labels, m, core.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bitsEqual(fres.Multi, fwant.Multi) || !bitsEqual(fres.Reductions, fwant.Reductions) {
-			t.Fatalf("one-shot float64 sorted differs: n=%d m=%d", n, m)
+			t.Fatalf("one-shot float64 serial differs: n=%d m=%d", n, m)
 		}
 		want, err := core.Serial(core.AddInt64, values, labels, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compute("sorted", core.AddInt64, values, labels, m, core.Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
-			t.Fatalf("one-shot sorted differs: n=%d m=%d", n, m)
-		}
-		be, err := Open[int64]("sorted")
+		be, err := Open[int64]("serial")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,15 +593,75 @@ func sortedParity(maxWorkers int) func(t *testing.T, seed int64, nRaw uint16, mR
 				t.Fatal(err)
 			}
 			if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
-				t.Fatalf("planned sorted differs: n=%d m=%d workers=%d round=%d", n, m, workers, round)
+				t.Fatalf("planned serial differs: n=%d m=%d workers=%d round=%d", n, m, workers, round)
 			}
 			red, err := plan.Reduce(values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !equalInt64(red, want.Reductions) {
-				t.Fatalf("planned sorted reduce differs: n=%d m=%d workers=%d", n, m, workers)
+				t.Fatalf("planned serial reduce differs: n=%d m=%d workers=%d", n, m, workers)
 			}
 		}
 	}
+}
+
+// FuzzTiledParity cross-checks serial plans against the one-shot
+// reference on the run-length extremes the retired tiled kernels were
+// fuzzed on: random labels, a single run, all-distinct labels, and
+// identity-valued elements, for every int64 op.
+func FuzzTiledParity(f *testing.F) {
+	f.Add(int64(1), uint16(1024), uint8(16), uint8(4), uint8(0))
+	f.Add(int64(3), uint16(300), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(5), uint16(2048), uint8(3), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, mRaw, wRaw, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw) % 4096
+		workers := int(wRaw)%5 + 1
+		m := 1
+		labels := make([]int, n)
+		switch shape % 3 {
+		case 0: // random labels
+			m = int(mRaw)%64 + 1
+			for i := range labels {
+				labels[i] = rng.Intn(m)
+			}
+		case 1: // single run
+		default: // all-distinct: every run is one element long
+			m = max(n, 1)
+			for i := range labels {
+				labels[i] = i
+			}
+		}
+		be, err := Open[int64]("serial")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []core.Op[int64]{core.AddInt64, core.MaxInt64, core.MinInt64, core.AndInt64, core.OrInt64, core.XorInt64} {
+			values := make([]int64, n)
+			for i := range values {
+				if rng.Intn(8) == 0 {
+					values[i] = op.Identity
+				} else {
+					values[i] = int64(rng.Intn(64)) - 8
+				}
+			}
+			want, err := core.Serial(op, values, labels, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := be.Plan(op, labels, m, core.Config{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := plan.Run(values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
+				t.Fatalf("%s: plan differs: n=%d m=%d workers=%d shape=%d", op.Name, n, m, workers, shape%3)
+			}
+			plan.Close()
+		}
+	})
 }

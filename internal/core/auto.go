@@ -4,34 +4,31 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"multiprefix/internal/par"
 )
 
-// AutoCalibration holds the crossover points the Auto engine picks
-// engines with. The zero value is usable (Serial for everything up to
-// SerialMax = 0 means Serial never wins — so prefer the measured
-// defaults or explicit positive values).
+// AutoCalibration holds the crossover the Auto engine picks engines
+// with, plus the memory profile the incremental plans size their
+// update burst from. The zero value is usable (SerialMax = 0 means
+// Serial never wins on size alone — so prefer DefaultCalibration or
+// explicit positive values).
 type AutoCalibration struct {
 	// SerialMax is the largest n for which the serial engine is
-	// preferred over any parallel decomposition: below it, goroutine
-	// coordination costs dominate the work.
+	// preferred over the chunked decomposition: below it, goroutine
+	// coordination costs dominate the work. It is a constant (2^20),
+	// not a measurement, so Auto's choice never depends on timing.
 	SerialMax int
-	// ParallelOverChunked prefers the barrier-synchronous Parallel
-	// engine over Chunked for inputs above SerialMax. Chunked wins on
-	// every machine we have measured (far fewer synchronization
-	// points), but the probe keeps the choice honest.
-	ParallelOverChunked bool
-	// Probe is the measured memory profile (see MemProbe) the tile
-	// budget and the incremental update burst derive from. The
-	// process-wide calibration fills it from a one-time measurement;
-	// explicit Config.AutoCal values may supply a synthetic probe or
-	// leave it nil.
+	// Probe is the measured memory profile (see MemProbe) the
+	// incremental update burst derives from. The process-wide
+	// calibration fills it from a one-time measurement; explicit
+	// Config.AutoCal values may supply a synthetic probe or leave it
+	// nil. Engine selection does not read it.
 	Probe *MemProbe
-	// TileBytes is the sorted engine's per-tile cache budget in bytes;
-	// 0 means DefaultTileBytes. The calibration derives it from the
-	// probe's random-update ladder.
+	// TileBytes is deprecated and always 0: nothing in the library
+	// reads it. It remains only so that the benchmark's run record,
+	// which reports tile_bytes, compiles until that field is dropped
+	// from the record.
 	TileBytes int
 	// UpdateBurst, when positive, pins the incremental plans'
 	// update-vs-rerun crossover to a constant (the MP_AUTOCAL=updburst
@@ -40,36 +37,12 @@ type AutoCalibration struct {
 	UpdateBurst int
 }
 
-// AutoTileBytes resolves the sorted engine's per-tile budget for cfg:
-// an explicit Config.AutoCal override, else the process calibration's
-// derived value — the measured probe's ladder knee with any MP_AUTOCAL
-// override applied on top — else DefaultTileBytes. Resolving the
-// process calibration is a one-time measurement (the probe is skipped
-// under MP_AUTOCAL=noprobe); the budget only re-orders memory traffic,
-// never results, so plans may consult it freely.
-func AutoTileBytes(cfg Config) int {
-	if cal := cfg.AutoCal; cal != nil {
-		if cal.TileBytes > 0 {
-			return cal.TileBytes
-		}
-		if cal.Probe != nil && cal.Probe.TileBytes > 0 {
-			return cal.Probe.TileBytes
-		}
-		return DefaultTileBytes
-	}
-	if cal := defaultAutoCal(); cal.TileBytes > 0 {
-		return cal.TileBytes
-	}
-	return DefaultTileBytes
-}
-
 // AutoUpdateBurst resolves an incremental plan's update-vs-rerun
 // crossover for an n-element problem under cfg: an explicit
 // Config.AutoCal / MP_AUTOCAL pin, else the measured probe's cost
 // model (one rebuild vs. log-depth tree walks), else the folklore
 // n/(4·log2 n). The burst only re-orders maintenance work, never
-// results, so plans may consult it freely — the mirror of
-// AutoTileBytes for the update path.
+// results, so plans may consult it freely.
 func AutoUpdateBurst(n int, cfg Config) int {
 	cal := cfg.AutoCal
 	if cal == nil {
@@ -86,11 +59,10 @@ func AutoUpdateBurst(n int, cfg Config) int {
 }
 
 // DefaultCalibration returns the resolved process-wide calibration the
-// Auto engine uses for default-config calls: the one-time measured
-// probe and derived tile budget (or the timed fallbacks under
-// MP_AUTOCAL=noprobe) with MP_AUTOCAL field overrides applied. The
-// returned value is a copy; Probe, when non-nil, is shared and must be
-// treated as read-only.
+// Auto engine uses for default-config calls: the 2^20 serial crossover
+// and the one-time measured probe (nil under MP_AUTOCAL=noprobe), with
+// MP_AUTOCAL field overrides applied. The returned value is a copy;
+// Probe, when non-nil, is shared and must be treated as read-only.
 func DefaultCalibration() AutoCalibration {
 	return defaultAutoCal()
 }
@@ -101,18 +73,13 @@ type engineKind uint8
 const (
 	kindSerial engineKind = iota
 	kindChunked
-	kindParallel
 )
 
 func (k engineKind) String() string {
-	switch k {
-	case kindChunked:
+	if k == kindChunked {
 		return "chunked"
-	case kindParallel:
-		return "parallel"
-	default:
-		return "serial"
 	}
+	return "serial"
 }
 
 var (
@@ -120,88 +87,29 @@ var (
 	autoCal  AutoCalibration
 )
 
-// defaultAutoCal returns the process-wide calibration, measuring it on
-// first use (a few milliseconds, once).
+// defaultAutoCal returns the process-wide calibration, resolving it on
+// first use.
 func defaultAutoCal() AutoCalibration {
 	autoOnce.Do(func() { autoCal = calibrate() })
 	return autoCal
 }
 
-// calibrate times Serial against Chunked (and Parallel) on synthetic
-// int64-sum workloads of growing size to locate the serial/parallel
-// crossover — the approach of Träff's tuned MPI_Exscan: pick the
-// algorithm variant per problem shape, from measurements, not faith.
-// The measured memory probe (memprobe.go) supplies the tile budget,
-// and MP_AUTOCAL field overrides are applied last so CI can pin any of
-// the knobs.
+// calibrate builds the process-wide calibration: the constant serial
+// crossover, the measured memory probe for the incremental update
+// burst, and MP_AUTOCAL field overrides on top so CI can pin any of
+// the knobs. Nothing here is timed for engine selection.
 func calibrate() AutoCalibration {
-	cal := AutoCalibration{SerialMax: 1 << 20}
-	cal.Probe = defaultMemProbe()
-	if cal.Probe != nil {
-		cal.TileBytes = cal.Probe.TileBytes
-	}
-	if par.DefaultWorkers() <= 1 {
-		// One usable CPU: a parallel decomposition cannot win, and the
-		// Workers gate in autoPick sends default-config calls to Serial
-		// anyway, so skip the probe.
-		return applyAutoCalEnv(cal)
-	}
-	const m = 512
-	sizes := []int{1 << 13, 1 << 15, 1 << 17}
-	var values []int64
-	var labels []int
-	fill := func(n int) {
-		values = make([]int64, n)
-		labels = make([]int, n)
-		for i := range values {
-			values[i] = int64(i&1023) - 512
-			labels[i] = int(uint32(i*2654435761) % m)
-		}
-	}
-	found := false
-	for _, n := range sizes {
-		fill(n)
-		ts := bestOf(3, func() { _, _ = Serial(AddInt64, values, labels, m) })
-		tc := bestOf(3, func() { _, _ = Chunked(AddInt64, values, labels, m, Config{}) })
-		if tc < ts {
-			cal.SerialMax = n / 2
-			found = true
-			break
-		}
-	}
-	if found {
-		n := sizes[len(sizes)-1]
-		fill(n)
-		tc := bestOf(3, func() { _, _ = Chunked(AddInt64, values, labels, m, Config{}) })
-		tp := bestOf(3, func() { _, _ = Parallel(AddInt64, values, labels, m, Config{}) })
-		cal.ParallelOverChunked = tp < tc
-	}
-	return applyAutoCalEnv(cal)
+	return applyAutoCalEnv(AutoCalibration{SerialMax: 1 << 20, Probe: defaultMemProbe()})
 }
 
-// bestOf returns the fastest of reps timed runs of f.
-func bestOf(reps int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		f()
-		if d := time.Since(t0); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// autoPick selects the engine for a problem shape. Serial wins when
-// only one worker is available, when n is below the calibrated
-// crossover, or when labels outnumber elements (m > n: the dense O(m)
-// per-worker bucket storage and merge dominate any parallel gain).
+// autoPick selects the engine for a problem shape: Chunked only when
+// more than one worker is available, n exceeds the serial crossover,
+// and labels do not outnumber elements (m > n: the dense O(m)
+// per-worker bucket storage and merge dominate any parallel gain);
+// Serial otherwise. It is a pure function of its arguments.
 func autoPick(n, m, workers int, cal AutoCalibration) engineKind {
 	if workers <= 1 || n <= cal.SerialMax || m > n {
 		return kindSerial
-	}
-	if cal.ParallelOverChunked {
-		return kindParallel
 	}
 	return kindChunked
 }
@@ -231,22 +139,17 @@ func AutoPlanChoice(n, m int, cfg Config) string {
 	return AutoChoice(n, m, cfg)
 }
 
-// AutoEngine returns the adaptive engine: it picks
-// Serial/Chunked/Parallel per call from (n, m, Workers) and the
-// calibrated crossover points, wrapped in the Fallback machinery so an
-// internal failure in a parallel engine degrades to the serial
-// reference instead of failing the request (invalid input and
-// cancellation are still returned as-is).
+// AutoEngine returns the adaptive engine: it picks Serial or Chunked
+// per call from (n, m, Workers) and the serial crossover, wrapped in
+// the Fallback machinery so an internal failure in the chunked engine
+// degrades to the serial reference instead of failing the request
+// (invalid input and cancellation are still returned as-is).
 func AutoEngine[T any](cfg Config) Engine[T] {
 	inner := func(op Op[T], values []T, labels []int, m int) (Result[T], error) {
-		switch autoKind(len(values), m, cfg) {
-		case kindParallel:
-			return Parallel(op, values, labels, m, cfg)
-		case kindChunked:
+		if autoKind(len(values), m, cfg) == kindChunked {
 			return Chunked(op, values, labels, m, cfg)
-		default:
-			return serialCtx(op, values, labels, m, cfg)
 		}
+		return serialCtx(op, values, labels, m, cfg)
 	}
 	return Fallback(inner, nil)
 }
@@ -261,12 +164,9 @@ func Auto[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[
 func AutoReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
 	var red []T
 	var err error
-	switch autoKind(len(values), m, cfg) {
-	case kindParallel:
-		red, err = ParallelReduce(op, values, labels, m, cfg)
-	case kindChunked:
+	if autoKind(len(values), m, cfg) == kindChunked {
 		red, err = ChunkedReduce(op, values, labels, m, cfg)
-	default:
+	} else {
 		red, err = serialReduceCtx(op, values, labels, m, cfg)
 	}
 	if err == nil {
@@ -281,7 +181,7 @@ func AutoReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([
 // serialCtx is Serial honoring cfg.Ctx: with a context the single
 // bucket pass runs in cancelStride segments polling at each boundary
 // (the serial pass carries no cross-segment state beyond the buckets,
-// so segmenting is exact), matching the parallel branches' mid-run
+// so segmenting is exact), matching the chunked branch's mid-run
 // cancellation promptness.
 func serialCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
 	if cfg.Ctx == nil {
@@ -395,12 +295,9 @@ func (b *Buffers[T]) serialReduceCtxIn(op Op[T], values []T, labels []int, m int
 func (b *Buffers[T]) Auto(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
 	var res Result[T]
 	var err error
-	switch autoKind(len(values), m, cfg) {
-	case kindParallel:
-		res, err = b.Parallel(op, values, labels, m, cfg)
-	case kindChunked:
+	if autoKind(len(values), m, cfg) == kindChunked {
 		res, err = b.Chunked(op, values, labels, m, cfg)
-	default:
+	} else {
 		res, err = b.serialCtxIn(op, values, labels, m, cfg)
 	}
 	if err == nil {
@@ -416,12 +313,9 @@ func (b *Buffers[T]) Auto(op Op[T], values []T, labels []int, m int, cfg Config)
 func (b *Buffers[T]) AutoReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
 	var red []T
 	var err error
-	switch autoKind(len(values), m, cfg) {
-	case kindParallel:
-		red, err = b.ParallelReduce(op, values, labels, m, cfg)
-	case kindChunked:
+	if autoKind(len(values), m, cfg) == kindChunked {
 		red, err = b.ChunkedReduce(op, values, labels, m, cfg)
-	default:
+	} else {
 		red, err = b.serialReduceCtxIn(op, values, labels, m, cfg)
 	}
 	if err == nil {

@@ -2,28 +2,27 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 )
 
 // TestAutoChoice pins the selection rules: one worker or small n or
-// m > n picks serial; beyond the crossover the calibrated preference
-// decides between chunked and parallel.
+// m > n picks serial; beyond the crossover Auto picks chunked.
 func TestAutoChoice(t *testing.T) {
-	chunkedCal := &AutoCalibration{SerialMax: 1000}
-	parallelCal := &AutoCalibration{SerialMax: 1000, ParallelOverChunked: true}
+	cal := &AutoCalibration{SerialMax: 1000}
 	cases := []struct {
 		name string
 		n, m int
 		cfg  Config
 		want string
 	}{
-		{"one-worker", 1 << 20, 64, Config{Workers: 1, AutoCal: chunkedCal}, "serial"},
-		{"small-n", 1000, 64, Config{Workers: 4, AutoCal: chunkedCal}, "serial"},
-		{"sparse-labels", 4000, 5000, Config{Workers: 4, AutoCal: chunkedCal}, "serial"},
-		{"big-chunked", 4000, 64, Config{Workers: 4, AutoCal: chunkedCal}, "chunked"},
-		{"big-parallel", 4000, 64, Config{Workers: 4, AutoCal: parallelCal}, "parallel"},
+		{"one-worker", 1 << 20, 64, Config{Workers: 1, AutoCal: cal}, "serial"},
+		{"small-n", 1000, 64, Config{Workers: 4, AutoCal: cal}, "serial"},
+		{"sparse-labels", 4000, 5000, Config{Workers: 4, AutoCal: cal}, "serial"},
+		{"big", 4000, 64, Config{Workers: 4, AutoCal: cal}, "chunked"},
 	}
 	for _, tc := range cases {
 		if got := AutoChoice(tc.n, tc.m, tc.cfg); got != tc.want {
@@ -34,20 +33,19 @@ func TestAutoChoice(t *testing.T) {
 
 // TestAutoCandidates pins Auto's candidate set: under the measured
 // probe, with the probe disabled (the MP_AUTOCAL=noprobe calibration)
-// and under synthetic calibrations, AutoChoice and AutoPlanChoice
-// return only serial, chunked or parallel — never a sort-based engine
-// — across worker counts and shapes that include the label-heavy
-// (2^22, 16) and NAS IS (2^20, 2^19) shapes. The two functions agree.
+// and under a synthetic calibration, AutoChoice and AutoPlanChoice
+// return only serial or chunked across worker counts and shapes that
+// include the label-heavy (2^22, 16) and NAS IS (2^20, 2^19) shapes.
+// The two functions agree.
 func TestAutoCandidates(t *testing.T) {
 	measured := DefaultCalibration()
 	noprobe := measured
-	noprobe.Probe, noprobe.TileBytes = nil, 0
+	noprobe.Probe = nil
 	cals := map[string]*AutoCalibration{
 		"process":       nil,
 		"measured":      &measured,
 		"noprobe":       &noprobe,
 		"low-serialmax": {SerialMax: 1, Probe: measured.Probe},
-		"parallel":      {SerialMax: 1, ParallelOverChunked: true},
 	}
 	shapes := []struct{ n, m int }{
 		{0, 1}, {1000, 64}, {1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12},
@@ -58,13 +56,65 @@ func TestAutoCandidates(t *testing.T) {
 			cfg := Config{Workers: workers, AutoCal: cal}
 			for _, sh := range shapes {
 				got := AutoChoice(sh.n, sh.m, cfg)
-				switch got {
-				case "serial", "chunked", "parallel":
-				default:
-					t.Errorf("%s/w%d: AutoChoice(%d, %d) = %q, want serial|chunked|parallel", name, workers, sh.n, sh.m, got)
+				if got != "serial" && got != "chunked" {
+					t.Errorf("%s/w%d: AutoChoice(%d, %d) = %q, want serial|chunked", name, workers, sh.n, sh.m, got)
 				}
 				if plan := AutoPlanChoice(sh.n, sh.m, cfg); plan != got {
 					t.Errorf("%s/w%d: AutoPlanChoice(%d, %d) = %q, AutoChoice = %q", name, workers, sh.n, sh.m, plan, got)
+				}
+			}
+		}
+	}
+}
+
+// TestAutoChoiceIgnoresTiming pins Auto as a pure function of the
+// shape: for every shape the committed engine snapshot records
+// (BENCH_engines.json calibration.decisions), plus the NAS IS rank
+// shape (2^20, 2^19) and three shapes beyond the crossover, AutoChoice
+// equals the rule — serial unless workers > 1, n > SerialMax and
+// m <= n — at 1, 2 and 8 workers, whatever the probe measured: the
+// process calibration, no probe, and two synthetic probes with
+// opposite timings all choose alike.
+func TestAutoChoiceIgnoresTiming(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_engines.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Calibration struct {
+			Decisions []struct{ N, M int } `json:"decisions"`
+		} `json:"calibration"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Calibration.Decisions) == 0 {
+		t.Fatal("BENCH_engines.json records no calibration decisions")
+	}
+	shapes := append(snap.Calibration.Decisions, []struct{ N, M int }{
+		{1 << 20, 1 << 19}, {1 << 22, 16}, {1 << 22, 1 << 22}, {1 << 22, 1 << 23},
+	}...)
+	fast := &MemProbe{StreamBps: 100e9, CopyBps: 100e9, RandomWS: []int{1 << 15, 1 << 23}, RandomNs: []float64{1, 2}}
+	slow := &MemProbe{StreamBps: 1e9, CopyBps: 1e9, RandomWS: []int{1 << 15, 1 << 23}, RandomNs: []float64{5, 500}}
+	process := DefaultCalibration()
+	cals := map[string]AutoCalibration{
+		"process":    process,
+		"noprobe":    {SerialMax: process.SerialMax},
+		"fast-probe": {SerialMax: process.SerialMax, Probe: fast},
+		"slow-probe": {SerialMax: process.SerialMax, Probe: slow},
+	}
+	if process.SerialMax != 1<<20 && os.Getenv("MP_AUTOCAL") == "" {
+		t.Fatalf("process SerialMax = %d, want the constant 2^20", process.SerialMax)
+	}
+	for name, cal := range cals {
+		for _, workers := range []int{1, 2, 8} {
+			for _, sh := range shapes {
+				want := "serial"
+				if workers > 1 && sh.N > cal.SerialMax && sh.M <= sh.N {
+					want = "chunked"
+				}
+				if got := AutoChoice(sh.N, sh.M, Config{Workers: workers, AutoCal: &cal}); got != want {
+					t.Errorf("%s/w%d: AutoChoice(%d, %d) = %q, want %q", name, workers, sh.N, sh.M, got, want)
 				}
 			}
 		}
@@ -90,7 +140,6 @@ func TestAutoMatchesSerial(t *testing.T) {
 	}{
 		{"serial-branch", Config{Workers: 1}},
 		{"chunked-branch", Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 100}}},
-		{"parallel-branch", Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 100, ParallelOverChunked: true}}},
 		{"default-cal", Config{Workers: 4}},
 	}
 	for _, tc := range cfgs {
@@ -160,7 +209,6 @@ func TestAutoErrorPassthrough(t *testing.T) {
 	for _, branch := range []Config{
 		{Workers: 1, Ctx: ctx, AutoCal: cal},
 		{Workers: 4, Ctx: ctx, AutoCal: cal},
-		{Workers: 4, Ctx: ctx, AutoCal: &AutoCalibration{SerialMax: 1, ParallelOverChunked: true}},
 	} {
 		if _, err := Auto(AddInt64, values, labels, 17, branch); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Auto (%s): %v", AutoChoice(len(values), 17, branch), err)
@@ -177,9 +225,8 @@ func TestAutoErrorPassthrough(t *testing.T) {
 	}
 }
 
-// TestAutoFallsBackOnPanic drives Auto into its parallel branch with an
-// operator that panics only on the first run: the Fallback machinery
-// must degrade to the serial reference and still return the right
+// TestAutoFallsBackOnPanic drives Auto with an operator that panics
+// only on the first run: the Fallback machinery must degrade to the serial reference and still return the right
 // answer. Works because the serial retry sees a fresh pass where the
 // one-shot trigger has already fired.
 func TestAutoFallsBackOnPanic(t *testing.T) {

@@ -35,44 +35,7 @@ const (
 	// that comparison, fixing tie and NaN behavior — with Identity the
 	// type's maximum (math.MaxInt64, +Inf).
 	FastMin
-	// FastAnd, FastOr and FastXor are the int64 bitwise families
-	// (Identity -1, 0 and 0 respectively). float64 has no bitwise
-	// operators, so these have kernels only at []int64; a float64 run
-	// with a bitwise declaration (which would already violate the Fast
-	// contract — no float64 Combine can equal a bitwise op) degrades to
-	// the generic path at dispatch.
-	FastAnd
-	FastOr
-	FastXor
 )
-
-// fastSegI64 reports whether the sorted/tiled segmented-scan kernel
-// family implements fast monomorphically over []int64: every declared
-// family (add/max/min directly, the bitwise families through the
-// int64-only kernels).
-func fastSegI64(fast FastOp) bool {
-	return fast >= FastAdd && fast <= FastXor
-}
-
-// fastSegF64 is the []float64 counterpart: the comparison and additive
-// families only — bitwise does not exist for float64.
-func fastSegF64(fast FastOp) bool {
-	return fast == FastAdd || fast == FastMax || fast == FastMin
-}
-
-// FastScans reports whether the sorted/tiled scan kernels implement
-// fast monomorphically for element type T — the plan-time gate for
-// building tile structures (and the per-run tiled-dispatch test).
-func FastScans[T any](fast FastOp) bool {
-	var probe []T
-	switch any(probe).(type) {
-	case []int64:
-		return fastSegI64(fast)
-	case []float64:
-		return fastSegF64(fast)
-	}
-	return false
-}
 
 // fastElem are the element types with monomorphic kernels.
 type fastElem interface{ int64 | float64 }

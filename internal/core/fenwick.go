@@ -8,9 +8,9 @@ import "math"
 // point updates in O(log n) instead of re-running the whole O(n)
 // pipeline. The idea follows Brodnik et al.'s prefix-sum-under-update
 // line of work (PAPERS.md): prefix state is cheap to *maintain* when
-// the operator is invertible, and the sorted permutation the engine
-// already builds at plan time makes every per-label prefix a
-// difference of two whole-array prefixes.
+// the operator is invertible, and a stable counting sort of the labels
+// (BuildSortedIndexInto, at the end of this file) makes every
+// per-label prefix a difference of two whole-array prefixes.
 //
 // The kernels are monomorphic (int64 / float64) like the fast-op
 // kernels in fastpath.go: the backend dispatches with the
@@ -157,4 +157,35 @@ func FenwickFloat64Bound(n int) float64 {
 // fail the comparison and are rejected.
 func FenwickFloat64Safe(v, bound float64) bool {
 	return v == math.Trunc(v) && v >= -bound && v <= bound
+}
+
+// BuildSortedIndexInto fills perm (len n) and start (len m+1) with the
+// stable counting sort of labels, allocation-free: label l's elements
+// are perm[start[l]:start[l+1]], in vector order, and start[m] == n.
+// This is the order the Fenwick trees above are laid out in. Labels
+// must already be validated against m = len(start)-1 and n must fit
+// int32.
+//
+// The placement pass walks the input backwards with the run-end
+// cursors stored in start itself, so no separate cursor array is
+// needed; decrementing end cursors while iterating backwards assigns
+// the last occurrence the last slot, which is exactly stability.
+func BuildSortedIndexInto(perm, start []int32, labels []int) {
+	m := len(start) - 1
+	clear(start)
+	for _, l := range labels {
+		start[l]++
+	}
+	var sum int32
+	for l := 0; l < m; l++ {
+		sum += start[l]
+		start[l] = sum // end of run l
+	}
+	start[m] = sum // == n
+	for i := len(labels) - 1; i >= 0; i-- {
+		l := labels[i]
+		start[l]--
+		perm[start[l]] = int32(i)
+	}
+	// start[l] has been decremented back to the begin of run l.
 }

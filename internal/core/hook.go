@@ -13,9 +13,6 @@ const (
 	PhaseChunkLocal = "chunk-local"
 	PhaseChunkMerge = "chunk-merge"
 	PhaseChunkApply = "chunk-apply"
-	// The sorted engine's fused segmented scan over the counting-sort
-	// permutation.
-	PhaseSortedScan = "sorted-scan"
 )
 
 // FaultHook receives engine-internal events so tests can inject faults

@@ -6,18 +6,18 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // This file is the measured half of the Auto calibration: a one-time
 // memory probe (sequential bandwidth, copy bandwidth, and a
-// random-update latency ladder over growing working sets). Its ladder
-// knee sets the sorted engine's per-tile cache budget (TileBytes), and
-// its first-order Fenwick cost model sets the incremental plans'
+// random-update latency ladder over growing working sets). Its
+// first-order Fenwick cost model sets the incremental plans'
 // update-vs-rerun crossover (UpdateBurst). Engine selection does not
-// consult it: Auto picks among serial, chunked and parallel from the
-// timed crossover alone. The inputs are measured, cached per process,
-// and overridable (Config.AutoCal, MP_AUTOCAL) so tests and CI pin
-// them with explicit numbers.
+// consult it: Auto picks between serial and chunked from the shape
+// alone. The inputs are measured, cached per process, and overridable
+// (Config.AutoCal, MP_AUTOCAL) so tests and CI pin them with explicit
+// numbers.
 
 // MemProbe is the one-time measured memory profile of the host.
 type MemProbe struct {
@@ -35,18 +35,12 @@ type MemProbe struct {
 	// engines hide under their own work.
 	RandomWS []int
 	RandomNs []float64
-	// TileBytes is the per-tile cache budget derived from the ladder:
-	// half the largest working set that still updates at near-minimum
-	// latency, clamped to sane bounds.
-	TileBytes int
 }
 
 // probe model constants — first-order fits, not absolute predictions.
 const (
-	probeAlpha       = 0.5 // dependent-chain overlap factor
-	probeUpdateLvlNs = 2.0 // per-tree-level fixed cost (index math + RMW), ns
-	probeTileMin     = 1 << 18
-	probeTileMax     = 1 << 20
+	probeAlpha       = 0.5     // dependent-chain overlap factor
+	probeUpdateLvlNs = 2.0     // per-tree-level fixed cost (index math + RMW), ns
 	probeLadderTop   = 1 << 23 // top rung must fit the probe scratch buffer
 )
 
@@ -183,7 +177,6 @@ func MeasureMemProbe() *MemProbe {
 		p.RandomNs = append(p.RandomNs, ns)
 	}
 	_ = sinkIdx
-	p.TileBytes = deriveTileBytes(p.RandomWS, p.RandomNs)
 	return p
 }
 
@@ -205,33 +198,17 @@ func fillChaseCycle(a []int64) {
 	}
 }
 
-// deriveTileBytes picks the per-tile budget from the ladder's knee:
-// the largest working set whose net latency stays under a quarter of
-// the worst rung's — past that the tile no longer behaves cache-
-// resident — clamped to [probeTileMin, probeTileMax].
-func deriveTileBytes(ws []int, ns []float64) int {
-	if len(ws) == 0 {
-		return DefaultTileBytes
-	}
-	minNs, maxNs := ns[0], ns[0]
-	for _, v := range ns {
-		minNs = min(minNs, v)
-		maxNs = max(maxNs, v)
-	}
-	knee := minNs + 0.25*(maxNs-minNs)
-	tile := ws[0]
-	for i := range ws {
-		if ns[i] <= knee {
-			tile = ws[i]
+// bestOf returns the fastest of reps timed runs of f.
+func bestOf(reps int, f func()) time.Duration {
+	best := time.Duration(1<<63 - 1)
+	for i := 0; i < reps; i++ {
+		t0 := time.Now()
+		f()
+		if d := time.Since(t0); d < best {
+			best = d
 		}
 	}
-	if tile < probeTileMin {
-		tile = probeTileMin
-	}
-	if tile > probeTileMax {
-		tile = probeTileMax
-	}
-	return tile
+	return best
 }
 
 // bestBps times f (which moves bytes bytes) reps times and returns the
@@ -272,9 +249,9 @@ func defaultMemProbe() *MemProbe {
 }
 
 // parseAutoCalEnv parses MP_AUTOCAL: a comma-separated list of
-// "noprobe", "serialmax=N", "tilebytes=N", "updburst=N". Returns the
-// field overrides (applied by calibrate on top of its defaults) and
-// whether the probe is disabled. Malformed entries are ignored — a
+// "noprobe", "serialmax=N", "updburst=N". Returns the field overrides
+// (applied by calibrate on top of its defaults) and whether the probe
+// is disabled. Unknown keys and malformed entries are ignored — a
 // broken override must not take the library down.
 func parseAutoCalEnv() (map[string]int, bool) {
 	env := os.Getenv("MP_AUTOCAL")
@@ -308,9 +285,6 @@ func applyAutoCalEnv(cal AutoCalibration) AutoCalibration {
 	fields, _ := parseAutoCalEnv()
 	if v, ok := fields["serialmax"]; ok {
 		cal.SerialMax = v
-	}
-	if v, ok := fields["tilebytes"]; ok {
-		cal.TileBytes = v
 	}
 	if v, ok := fields["updburst"]; ok {
 		cal.UpdateBurst = v

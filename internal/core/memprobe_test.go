@@ -5,15 +5,14 @@ import (
 )
 
 // ladderProbe is a synthetic probe with a clean knee at 512 KiB, used
-// to pin the ladder interpolation and tile derivation without running
-// the real measurement.
+// to pin the ladder interpolation without running the real
+// measurement.
 func ladderProbe() *MemProbe {
 	return &MemProbe{
 		StreamBps: 10e9,
 		CopyBps:   8e9,
 		RandomWS:  []int{1 << 15, 1 << 17, 1 << 19, 1 << 21, 1 << 23},
 		RandomNs:  []float64{2, 2, 3, 40, 80},
-		TileBytes: 1 << 19,
 	}
 }
 
@@ -48,29 +47,17 @@ func TestRandNetNs(t *testing.T) {
 	}
 }
 
-// TestDeriveTileBytes pins the knee rule on the synthetic ladder (the
-// last rung within a quarter of the climb is 512 KiB) and the clamps.
+// TestDeriveTileBytes pins the retirement of the tile budget the
+// probe used to derive for the cache-tiled sort-scan kernels: the
+// process calibration reports TileBytes 0, and an MP_AUTOCAL
+// tilebytes entry is ignored like any unknown key.
 func TestDeriveTileBytes(t *testing.T) {
-	p := ladderProbe()
-	if got := deriveTileBytes(p.RandomWS, p.RandomNs); got != 1<<19 {
-		t.Errorf("knee: %d, want %d", got, 1<<19)
+	if got := DefaultCalibration().TileBytes; got != 0 {
+		t.Errorf("DefaultCalibration().TileBytes = %d, want 0", got)
 	}
-	if got := deriveTileBytes(nil, nil); got != DefaultTileBytes {
-		t.Errorf("empty ladder: %d, want DefaultTileBytes", got)
-	}
-	// A ladder that is flat forever would pick its top rung; the clamp
-	// caps the budget at probeTileMax.
-	flatWS := []int{1 << 15, 1 << 25}
-	flatNs := []float64{2, 2}
-	if got := deriveTileBytes(flatWS, flatNs); got != probeTileMax {
-		t.Errorf("flat ladder: %d, want clamp %d", got, probeTileMax)
-	}
-	// A cliff right after the first rung keeps only the first rung,
-	// clamped up to probeTileMin.
-	cliffWS := []int{1 << 15, 1 << 17}
-	cliffNs := []float64{2, 200}
-	if got := deriveTileBytes(cliffWS, cliffNs); got != probeTileMin {
-		t.Errorf("cliff ladder: %d, want clamp %d", got, probeTileMin)
+	t.Setenv("MP_AUTOCAL", "tilebytes=262144")
+	if cal := applyAutoCalEnv(AutoCalibration{SerialMax: 1}); cal != (AutoCalibration{SerialMax: 1}) {
+		t.Errorf("tilebytes override changed the calibration: %+v", cal)
 	}
 }
 
@@ -83,14 +70,14 @@ func TestParseAutoCalEnv(t *testing.T) {
 	if !noProbe {
 		t.Error("noprobe not recognized")
 	}
-	if fields["serialmax"] != 123 || fields["updburst"] != 77 || fields["tilebytes"] != 262144 {
+	if fields["serialmax"] != 123 || fields["updburst"] != 77 {
 		t.Errorf("fields = %v", fields)
 	}
 	if _, ok := fields["junk"]; ok {
 		t.Error("malformed junk=xyz should be ignored")
 	}
 	cal := applyAutoCalEnv(AutoCalibration{SerialMax: 1})
-	if cal.SerialMax != 123 || cal.UpdateBurst != 77 || cal.TileBytes != 262144 {
+	if cal.SerialMax != 123 || cal.UpdateBurst != 77 || cal.TileBytes != 0 {
 		t.Errorf("applyAutoCalEnv = %+v", cal)
 	}
 
@@ -123,9 +110,9 @@ func TestFillChaseCycle(t *testing.T) {
 }
 
 // TestMeasureMemProbeSane runs the real measurement once and checks it
-// returns plausible, usable numbers on any host: positive bandwidths,
-// a full ladder, and a tile budget inside the clamps. This is the
-// library-level half of the calibrate-smoke CI check.
+// returns plausible, usable numbers on any host: positive bandwidths
+// and a full ladder. This is the library-level half of the
+// calibrate-smoke CI check.
 func TestMeasureMemProbeSane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real measurement; skipped in -short")
@@ -141,8 +128,5 @@ func TestMeasureMemProbeSane(t *testing.T) {
 		if ns <= 0 {
 			t.Fatalf("rung %d: %v ns, want > 0", i, ns)
 		}
-	}
-	if p.TileBytes < probeTileMin || p.TileBytes > probeTileMax {
-		t.Fatalf("TileBytes %d outside [%d, %d]", p.TileBytes, probeTileMin, probeTileMax)
 	}
 }

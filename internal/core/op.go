@@ -82,7 +82,6 @@ var (
 		Identity:   0,
 		Combine:    func(a, b int64) int64 { return a | b },
 		IsIdentity: func(x int64) bool { return x == 0 },
-		Fast:       FastOr,
 	}
 	// AndInt64 is bitwise AND over int64.
 	AndInt64 = Op[int64]{
@@ -90,7 +89,6 @@ var (
 		Identity:   -1,
 		Combine:    func(a, b int64) int64 { return a & b },
 		IsIdentity: func(x int64) bool { return x == -1 },
-		Fast:       FastAnd,
 	}
 	// XorInt64 is bitwise XOR over int64.
 	XorInt64 = Op[int64]{
@@ -98,7 +96,6 @@ var (
 		Identity:   0,
 		Combine:    func(a, b int64) int64 { return a ^ b },
 		IsIdentity: func(x int64) bool { return x == 0 },
-		Fast:       FastXor,
 	}
 )
 

@@ -1,7 +1,7 @@
 // Race audit for the Injector: one hook shared by every shard worker
 // of a parallel run, and by several concurrent runs at once, must be
 // race-free (`go test -race ./internal/fault`). This is the access
-// pattern the chunked/sorted team bodies and the service's chaos mode
+// pattern the chunked/parallel team bodies and the service's chaos mode
 // produce. The package is fault_test so the test can drive the real
 // engines through the backend registry.
 package fault_test
@@ -16,7 +16,7 @@ import (
 	"multiprefix/internal/fault"
 )
 
-// TestInjectorSharedAcrossWorkers runs the chunked and sorted team
+// TestInjectorSharedAcrossWorkers runs the chunked and parallel team
 // engines with one inert Injector observing every combine from all
 // worker goroutines concurrently, then several goroutines sharing the
 // same hook across overlapping runs. With -race this proves the
@@ -39,7 +39,7 @@ func TestInjectorSharedAcrossWorkers(t *testing.T) {
 	}
 
 	// One hook, one run, many shard workers.
-	for _, name := range []string{"chunked", "sorted", "parallel"} {
+	for _, name := range []string{"chunked", "spinetree", "parallel"} {
 		res, err := backend.Compute(name, core.AddInt64, values, labels, m,
 			core.Config{Workers: 4, FaultHook: in})
 		if err != nil {
@@ -70,7 +70,7 @@ func TestInjectorSharedAcrossWorkers(t *testing.T) {
 			defer wg.Done()
 			name := "chunked"
 			if g%2 == 1 {
-				name = "sorted"
+				name = "parallel"
 			}
 			for it := 0; it < 4; it++ {
 				if _, err := backend.Compute(name, core.AddInt64, values, labels, m,

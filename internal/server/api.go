@@ -41,7 +41,6 @@ var ops = map[string]core.Op[int64]{
 var serviceBackends = map[string]bool{
 	"auto":      true,
 	"serial":    true,
-	"sorted":    true,
 	"chunked":   true,
 	"parallel":  true,
 	"spinetree": true,

@@ -31,7 +31,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			e, err := c.acquire("sorted", core.AddInt64, labels, 17)
+			e, err := c.acquire("serial", core.AddInt64, labels, 17)
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return
@@ -127,12 +127,12 @@ func TestCachePinnedSurvivesPressure(t *testing.T) {
 	defer c.closeAll()
 	labels := testLabels(256, 8, 0)
 
-	e0, err := c.acquire("sorted", core.AddInt64, labels, 8)
+	e0, err := c.acquire("serial", core.AddInt64, labels, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Over capacity while e0 is pinned: e0 must survive.
-	e1, err := c.acquire("sorted", core.AddInt64, testLabels(256, 8, 1), 8)
+	e1, err := c.acquire("serial", core.AddInt64, testLabels(256, 8, 1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCachePinnedSurvivesPressure(t *testing.T) {
 	// Pin dropped: the next insertion trims the overflow back to
 	// capacity, closing the now-unpinned entries.
 	c.release(e0)
-	e2, err := c.acquire("sorted", core.AddInt64, testLabels(256, 8, 2), 8)
+	e2, err := c.acquire("serial", core.AddInt64, testLabels(256, 8, 2), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ var decodeSeeds = []struct {
 	fast bool // the fast parser takes it itself
 }{
 	{`{"op":"sum","m":4,"labels":[0,1,2,3],"values":[1,-2,3,-4]}`, true},
-	{`{"op":"max","backend":"sorted","m":2,"labels":[0,1],"values":[3,4],"deadline_ms":50,"pin_version":7}`, true},
-	{`{"op":"max","backend":"sorted","m":2,"labels":[0,1],"batch":[[1,2],[3,4],[]],"deadline_ms":50,"pin_version":7}`, false},
+	{`{"op":"max","backend":"serial","m":2,"labels":[0,1],"values":[3,4],"deadline_ms":50,"pin_version":7}`, true},
+	{`{"op":"max","backend":"serial","m":2,"labels":[0,1],"batch":[[1,2],[3,4],[]],"deadline_ms":50,"pin_version":7}`, false},
 	{"\n { \"op\" :\t\"sum\" ,\r\n \"m\": 2 , \"labels\" : [ 0 , 1 ] , \"values\":[ 5,6 ]  } \n", true},
 	{`{}`, true},
 	{`{"labels":[],"values":[]}`, true},

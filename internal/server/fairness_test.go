@@ -148,14 +148,27 @@ func TestClientQuotaSweep(t *testing.T) {
 // name — 400 unknown_backend — and the error lists exactly the served
 // backends, in sorted order.
 func TestShardedNotServed(t *testing.T) {
+	checkNotServed(t, "sharded")
+}
+
+// TestSortedNotServed: so is the retired sort-scan backend.
+func TestSortedNotServed(t *testing.T) {
+	checkNotServed(t, "sorted")
+}
+
+// checkNotServed asserts that a compute request naming backend answers
+// 400 unknown_backend, and that ServedBackends and the error message
+// list exactly auto, chunked, parallel, serial and spinetree.
+func checkNotServed(t *testing.T, backend string) {
+	t.Helper()
 	x := newTestServer(t, Options{})
 	labels, values := refInputs(500, 9)
 	var er errorResponse
-	hr := x.post(t, "/v1/multiprefix", req("sum", "sharded", labels, 9, values), &er)
+	hr := x.post(t, "/v1/multiprefix", req("sum", backend, labels, 9, values), &er)
 	if hr.StatusCode != http.StatusBadRequest || er.Error.Kind != kindUnknownBack {
-		t.Fatalf("sharded compute = %d/%q, want 400/%q", hr.StatusCode, er.Error.Kind, kindUnknownBack)
+		t.Fatalf("%s compute = %d/%q, want 400/%q", backend, hr.StatusCode, er.Error.Kind, kindUnknownBack)
 	}
-	served := []string{"auto", "chunked", "parallel", "serial", "sorted", "spinetree"}
+	served := []string{"auto", "chunked", "parallel", "serial", "spinetree"}
 	if got := ServedBackends(); !slices.Equal(got, served) {
 		t.Fatalf("ServedBackends() = %v, want %v", got, served)
 	}

@@ -17,8 +17,8 @@ import (
 // defaults; see withDefaults for the numbers.
 type Options struct {
 	// Backend is the default plan backend for requests that do not
-	// name one. Must be a service backend (auto, serial, sorted,
-	// chunked, parallel, spinetree).
+	// name one. Must be a service backend (auto, serial, chunked,
+	// parallel, spinetree).
 	Backend string
 	// Workers is the per-plan engine worker count; 0 = GOMAXPROCS.
 	Workers int

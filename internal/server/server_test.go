@@ -86,6 +86,16 @@ func TestComputeEndpoints(t *testing.T) {
 		}
 		for _, backend := range []string{"serial", "sorted", "chunked", "parallel", "spinetree", "auto"} {
 			t.Run(op.name+"/"+backend, func(t *testing.T) {
+				if backend == "sorted" { // retired: both endpoints refuse it
+					for _, path := range []string{"/v1/multiprefix", "/v1/multireduce"} {
+						var er errorResponse
+						hr := x.post(t, path, req(op.name, backend, labels, 17, values), &er)
+						if hr.StatusCode != http.StatusBadRequest || er.Error.Kind != kindUnknownBack {
+							t.Fatalf("%s = %d/%q, want 400/%q", path, hr.StatusCode, er.Error.Kind, kindUnknownBack)
+						}
+					}
+					return
+				}
 				var resp computeResponse
 				hr := x.post(t, "/v1/multiprefix", req(op.name, backend, labels, 17, values), &resp)
 				if hr.StatusCode != http.StatusOK {
@@ -128,7 +138,7 @@ func TestBatchEndpoints(t *testing.T) {
 			batch[k][i] = int64((i + k) % 11)
 		}
 	}
-	body := map[string]any{"op": "sum", "backend": "sorted", "m": 9, "labels": labels, "batch": batch}
+	body := map[string]any{"op": "sum", "backend": "serial", "m": 9, "labels": labels, "batch": batch}
 	for _, ep := range []string{"/v1/multiprefix/batch", "/v1/multireduce/batch"} {
 		var resp batchResponse
 		hr := x.post(t, ep, body, &resp)
@@ -351,7 +361,7 @@ func TestChaosCancel(t *testing.T) {
 // asserts they (a) all answer correctly and (b) at least one fused
 // round carried more than one request vector.
 func TestCoalescing(t *testing.T) {
-	x := newTestServer(t, Options{Backend: "sorted", CoalesceWindow: 2 * time.Millisecond, BatchCap: 32, MaxInFlight: 64})
+	x := newTestServer(t, Options{Backend: "serial", CoalesceWindow: 2 * time.Millisecond, BatchCap: 32, MaxInFlight: 64})
 	labels, values := refInputs(2048, 13)
 	want, _ := core.Serial(core.AddInt64, values, labels, 13)
 
@@ -405,7 +415,7 @@ func TestDeadlineClamp(t *testing.T) {
 	x := newTestServer(t, Options{MaxDeadline: maxDeadline})
 	labels, values := refInputs(64, 4)
 	body := func(path string, deadlineMS int64) map[string]any {
-		b := map[string]any{"op": "sum", "backend": "sorted", "m": 4, "labels": labels, "deadline_ms": deadlineMS}
+		b := map[string]any{"op": "sum", "backend": "serial", "m": 4, "labels": labels, "deadline_ms": deadlineMS}
 		if path == "/v1/query" {
 			b["indices"] = []int{0, 63}
 		} else {
@@ -474,7 +484,7 @@ func TestCoalesceWithoutWindow(t *testing.T) {
 	const n, m, k = 512, 8, 5
 	labels, values := refInputs(n, m)
 	want, _ := core.Serial(core.AddInt64, values, labels, m)
-	entry, err := s.cache.acquire("sorted", core.AddInt64, labels, m)
+	entry, err := s.cache.acquire("chunked", core.AddInt64, labels, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,15 +561,15 @@ func TestDefaultBackendOverride(t *testing.T) {
 	x := newTestServer(t, Options{Backend: "serial"})
 	labels, values := refInputs(256, 8)
 	var resp computeResponse
-	hr := x.post(t, "/v1/multiprefix", req("sum", "sorted", labels, 8, values), &resp)
-	if hr.StatusCode != 200 || resp.Backend != "sorted" {
+	hr := x.post(t, "/v1/multiprefix", req("sum", "chunked", labels, 8, values), &resp)
+	if hr.StatusCode != 200 || resp.Backend != "chunked" {
 		t.Fatalf("status %d backend %q", hr.StatusCode, resp.Backend)
 	}
 	if x.s.cache.plans() != 1 {
 		t.Fatalf("plans = %d", x.s.cache.plans())
 	}
 	key := fmt.Sprintf("%v", x.s.cache.lru.Front().Value.(*planEntry).key.Backend)
-	if key != "sorted" {
+	if key != "chunked" {
 		t.Fatalf("cached backend %q", key)
 	}
 }

@@ -34,7 +34,7 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	// Bind the resident vector.
 	var up updateResponse
 	resp := x.post(t, "/v1/update", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels, "values": values,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels, "values": values,
 	}, &up)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bind: status %d", resp.StatusCode)
@@ -47,7 +47,7 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	cur := append([]int64(nil), values...)
 	var up2 updateResponse
 	resp = x.post(t, "/v1/update", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels,
 		"updates": []map[string]any{{"i": 3, "v": 42}, {"i": 10, "v": -5}},
 	}, &up2)
 	if resp.StatusCode != http.StatusOK {
@@ -73,7 +73,7 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	}
 	var q queryResponse
 	resp = x.post(t, "/v1/query", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels,
 		"indices": indices, "reduce_labels": reduceLabels, "full": true,
 		"pin_version": 3,
 	}, &q)
@@ -97,14 +97,14 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	// Stale pins are rejected typed on every stateful surface.
 	var e errorResponse
 	resp = x.post(t, "/v1/query", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels,
 		"indices": []int{0}, "pin_version": 2,
 	}, &e)
 	if resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
 		t.Fatalf("stale query pin: status %d kind %q", resp.StatusCode, e.Error.Kind)
 	}
 	resp = x.post(t, "/v1/update", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels,
 		"updates": []map[string]any{{"i": 0, "v": 1}}, "pin_version": 99,
 	}, &e)
 	if resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
@@ -114,14 +114,14 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	// Compute requests thread the pin through the coalescer.
 	var cr computeResponse
 	resp = x.post(t, "/v1/multiprefix", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels,
 		"values": cur, "pin_version": 3,
 	}, &cr)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pinned compute: status %d", resp.StatusCode)
 	}
 	resp = x.post(t, "/v1/multiprefix", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "serial", "m": m, "labels": labels,
 		"values": cur, "pin_version": 7,
 	}, &e)
 	if resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
@@ -197,7 +197,7 @@ func TestStatefulChaosRetriesHookFree(t *testing.T) {
 	labels, values := refInputs(n, m)
 	var up updateResponse
 	if resp := x.post(t, "/v1/update", map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels, "values": values,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels, "values": values,
 	}, &up); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chaos bind: status %d", resp.StatusCode)
 	}
@@ -207,14 +207,14 @@ func TestStatefulChaosRetriesHookFree(t *testing.T) {
 	// Dirty the state, then query: the refresh runs the engine under
 	// the chaos hook, panics, and must heal hook-free.
 	if resp := x.post(t, "/v1/update", map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels,
 		"updates": []map[string]any{{"i": 7, "v": 999}},
 	}, &up); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chaos update: status %d", resp.StatusCode)
 	}
 	var q queryResponse
 	if resp := x.post(t, "/v1/query", map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels,
 		"indices": []int{200}, "reduce_labels": []int{7 % m},
 	}, &q); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chaos query: status %d", resp.StatusCode)
@@ -278,7 +278,7 @@ func TestWarmPersistRoundTrip(t *testing.T) {
 	labelsB, _ := refInputs(48, m)
 
 	a := newTestServer(t, Options{})
-	if resp := a.post(t, "/v1/multiprefix", req("sum", "sorted", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
+	if resp := a.post(t, "/v1/multiprefix", req("sum", "serial", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("compute A failed")
 	}
 	if resp := a.post(t, "/v1/multireduce", req("max", "", labelsB, m, values[:48]), nil); resp.StatusCode != http.StatusOK {
@@ -309,7 +309,7 @@ func TestWarmPersistRoundTrip(t *testing.T) {
 		t.Fatalf("warm stats: %+v", st)
 	}
 	// Traffic matching a warmed plan is a cache hit, not a build.
-	if resp := b.post(t, "/v1/multiprefix", req("sum", "sorted", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
+	if resp := b.post(t, "/v1/multiprefix", req("sum", "serial", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("post-warm compute failed")
 	}
 	st = b.s.Stats()
