@@ -32,13 +32,15 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the engine suites: the backend and core
-# packages (worker teams, batch barriers, the chunk merges) plus the
+# packages (worker teams, batch barriers, the chunk merges, the
+# one-shot engines' spawned rounds and their panic/fault-injection
+# paths, which share the pooled engines' bodies) plus the
 # server's stateful-plan traffic (concurrent update/query/run/evict)
 # re-run under the race detector with fresh scheduling (-count=2) — a
 # small size matrix lives in the tests themselves (worker counts 1..8
 # × the carry-edge label shapes).
 race-matrix:
-	$(GO) test -race -count=2 -run 'Sorted|Batch|Chunk|Plan|Update|Incremental' ./internal/backend ./internal/core
+	$(GO) test -race -count=2 -run 'Sorted|Batch|Chunk|Plan|Update|Incremental|OneShot|Panic|Injection' ./internal/backend ./internal/core
 	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of

@@ -62,11 +62,13 @@ type PlanEntry struct {
 	Speedup        float64 `json:"speedup"`
 }
 
-// CalDecision is one AutoChoice outcome under the measured probe.
+// CalDecision is one AutoChoice outcome for a shape at a worker
+// count.
 type CalDecision struct {
-	N      int    `json:"n"`
-	M      int    `json:"m"`
-	Choice string `json:"choice"`
+	N       int    `json:"n"`
+	M       int    `json:"m"`
+	Workers int    `json:"workers"`
+	Choice  string `json:"choice"`
 }
 
 // Calibration records the measured memory probe — the source of the
@@ -383,7 +385,8 @@ func main() {
 	}
 
 	// Calibration: the measured memory probe and Auto's decisions on
-	// the snapshot's shapes at one worker.
+	// the snapshot's shapes, plus one beyond the 2^20 crossover, at 1,
+	// 2 and 8 workers (at one worker Auto always answers serial).
 	{
 		p := core.MeasureMemProbe()
 		c := &Calibration{
@@ -392,15 +395,16 @@ func main() {
 			RandomWS:   p.RandomWS,
 			RandomNs:   p.RandomNs,
 		}
-		one := core.Config{Workers: 1}
-		for _, shape := range []struct{ n, m int }{
-			{1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12},
-			{1 << 18, 1 << 16}, {1 << 20, 1 << 10},
-		} {
-			c.Decisions = append(c.Decisions, CalDecision{
-				N: shape.n, M: shape.m,
-				Choice: core.AutoChoice(shape.n, shape.m, one),
-			})
+		for _, w := range []int{1, 2, 8} {
+			for _, shape := range []struct{ n, m int }{
+				{1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12},
+				{1 << 18, 1 << 16}, {1 << 20, 1 << 10}, {1 << 21, 1 << 10},
+			} {
+				c.Decisions = append(c.Decisions, CalDecision{
+					N: shape.n, M: shape.m, Workers: w,
+					Choice: core.AutoChoice(shape.n, shape.m, core.Config{Workers: w}),
+				})
+			}
 		}
 		report.Calibration = c
 		fmt.Printf("%-10s probe    stream %.1f GB/s copy %.1f GB/s\n",

@@ -3,10 +3,12 @@ package backend
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"multiprefix/internal/core"
 	"multiprefix/internal/fault"
@@ -151,7 +153,7 @@ func TestPlanConcurrentCallIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"chunked"} {
+	for _, name := range []string{"chunked", "parallel"} {
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)
@@ -200,5 +202,73 @@ func TestPlanConcurrentCallIsolation(t *testing.T) {
 		}
 		wg.Wait()
 		plan.Close()
+	}
+}
+
+// TestParallelPlanSurvivesRecoveredPanics alternates calls whose hook
+// panics mid-run with clean calls on one parallel plan. Every worker
+// of a failed round must leave the team's barrier exactly once: a
+// worker that returned between phases without leaving it hung its
+// siblings within a few hooked calls. The clean calls must still
+// match the serial reference, and the whole sequence must finish well
+// inside the timeout.
+func TestParallelPlanSurvivesRecoveredPanics(t *testing.T) {
+	const n, m, calls = 900, 8, 240
+	rng := rand.New(rand.NewSource(107))
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = rng.Intn(m)
+	}
+	values := make([]int64, n)
+	for i := range values {
+		values[i] = int64(rng.Intn(50))
+	}
+	want, err := core.Serial(core.AddInt64, values, labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := Open[int64]("parallel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		dst := [][]int64{make([]int64, n)}
+		srcs := [][]int64{values}
+		for i := 0; i < calls; i++ {
+			if i%2 == 0 {
+				in := fault.New()
+				in.PanicEvent = fault.EventCombine
+				in.PanicIndex = n / 2
+				var pe *core.EnginePanicError
+				if err := plan.RunBatchCall(Call{Hook: in}, dst, srcs); !errors.As(err, &pe) {
+					done <- fmt.Errorf("call %d: hooked: want EnginePanicError, got %v", i, err)
+					return
+				}
+				continue
+			}
+			if err := plan.RunBatch(dst, srcs); err != nil {
+				done <- fmt.Errorf("call %d: clean: %v", i, err)
+				return
+			}
+			if !equalInt64(dst[0], want.Multi) {
+				done <- fmt.Errorf("call %d: clean result differs from serial", i)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Close()
+	case <-time.After(60 * time.Second):
+		t.Fatal("parallel plan hung after a recovered panic")
 	}
 }

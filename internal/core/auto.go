@@ -140,82 +140,26 @@ func AutoPlanChoice(n, m int, cfg Config) string {
 }
 
 // AutoEngine returns the adaptive engine: it picks Serial or Chunked
-// per call from (n, m, Workers) and the serial crossover, wrapped in
-// the Fallback machinery so an internal failure in the chunked engine
-// degrades to the serial reference instead of failing the request
-// (invalid input and cancellation are still returned as-is).
+// per call from (n, m, Workers) and the serial crossover, and an
+// internal failure in the chunked engine degrades to the serial
+// reference instead of failing the request (invalid input and
+// cancellation are still returned as-is), as Fallback does.
 func AutoEngine[T any](cfg Config) Engine[T] {
-	inner := func(op Op[T], values []T, labels []int, m int) (Result[T], error) {
-		if autoKind(len(values), m, cfg) == kindChunked {
-			return Chunked(op, values, labels, m, cfg)
-		}
-		return serialCtx(op, values, labels, m, cfg)
+	return func(op Op[T], values []T, labels []int, m int) (Result[T], error) {
+		return Auto(op, values, labels, m, cfg)
 	}
-	return Fallback(inner, nil)
 }
 
-// Auto runs the multiprefix operation through AutoEngine.
+// Auto runs the adaptive engine once: Buffers.Auto on a pooled
+// Buffers, with the result handed to the caller.
 func Auto[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
-	return AutoEngine[T](cfg)(op, values, labels, m)
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).Auto)
 }
 
 // AutoReduce is the multireduce counterpart of Auto, with the same
 // engine selection and fallback-to-serial rules.
 func AutoReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
-	var red []T
-	var err error
-	if autoKind(len(values), m, cfg) == kindChunked {
-		red, err = ChunkedReduce(op, values, labels, m, cfg)
-	} else {
-		red, err = serialReduceCtx(op, values, labels, m, cfg)
-	}
-	if err == nil {
-		return red, nil
-	}
-	if errors.Is(err, ErrBadInput) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return nil, err
-	}
-	return SerialReduce(op, values, labels, m)
-}
-
-// serialCtx is Serial honoring cfg.Ctx: with a context the single
-// bucket pass runs in cancelStride segments polling at each boundary
-// (the serial pass carries no cross-segment state beyond the buckets,
-// so segmenting is exact), matching the chunked branch's mid-run
-// cancellation promptness.
-func serialCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if cfg.Ctx == nil {
-		return Serial(op, values, labels, m)
-	}
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	defer recoverEnginePanic("serial", nil, &err)
-	multi := make([]T, len(values))
-	buckets := make([]T, m)
-	fillIdentity(buckets, op.Identity)
-	if err := serialSegments(op, values, labels, multi, buckets, cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	return Result[T]{Multi: multi, Reductions: buckets}, nil
-}
-
-// serialReduceCtx is SerialReduce under the same segmented
-// cancellation polling as serialCtx.
-func serialReduceCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
-	if cfg.Ctx == nil {
-		return SerialReduce(op, values, labels, m)
-	}
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	defer recoverEnginePanic("serial", nil, &err)
-	buckets := make([]T, m)
-	fillIdentity(buckets, op.Identity)
-	if err := serialSegments(op, values, labels, nil, buckets, cfg.Ctx); err != nil {
-		return nil, err
-	}
-	return buckets, nil
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).AutoReduce)
 }
 
 // serialSegments runs the serial bucket pass over values in
@@ -253,17 +197,28 @@ func serialSegments[T any](op Op[T], values []T, labels []int, multi []T, bucket
 	return nil
 }
 
-// serialCtxIn is the pooled counterpart of serialCtx, drawing multi
-// and the bucket array from b.
-func (b *Buffers[T]) serialCtxIn(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if cfg.Ctx == nil {
+// serialCtxIn is Serial (or SerialReduce, without wantMulti) on b's
+// storage, honoring cfg.Ctx: with a context the single bucket pass
+// runs in cancelStride segments polling at each boundary (the serial
+// pass carries no cross-segment state beyond the buckets, so
+// segmenting is exact), matching the chunked branch's mid-run
+// cancellation promptness.
+func (b *Buffers[T]) serialCtxIn(op Op[T], values []T, labels []int, m int, cfg Config, wantMulti bool) (res Result[T], err error) {
+	if cfg.Ctx == nil && wantMulti {
 		return b.Serial(op, values, labels, m)
+	}
+	if cfg.Ctx == nil {
+		red, err := b.SerialReduce(op, values, labels, m)
+		return Result[T]{Reductions: red}, err
 	}
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
 	defer recoverEnginePanic("serial", nil, &err)
-	multi := b.growMulti(len(values))
+	var multi []T
+	if wantMulti {
+		multi = b.growMulti(len(values))
+	}
 	red := b.growRed(m)
 	fillIdentity(red, op.Identity)
 	if err := serialSegments(op, values, labels, multi, red, cfg.Ctx); err != nil {
@@ -272,57 +227,29 @@ func (b *Buffers[T]) serialCtxIn(op Op[T], values []T, labels []int, m int, cfg 
 	return Result[T]{Multi: multi, Reductions: red}, nil
 }
 
-// serialReduceCtxIn is the pooled counterpart of serialReduceCtx.
-func (b *Buffers[T]) serialReduceCtxIn(op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
-	if cfg.Ctx == nil {
-		return b.SerialReduce(op, values, labels, m)
-	}
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	defer recoverEnginePanic("serial", nil, &err)
-	red = b.growRed(m)
-	fillIdentity(red, op.Identity)
-	if err := serialSegments(op, values, labels, nil, red, cfg.Ctx); err != nil {
-		return nil, err
-	}
-	return red, nil
-}
-
-// Auto is the adaptive engine on pooled state: the same per-call
-// selection and serial degradation as the package-level Auto, with
-// every branch drawing storage from b.
+// Auto is the adaptive engine on pooled state: the shape picks the
+// chunked or the serial branch, and a chunked failure other than bad
+// input or cancellation is re-run on the serial reference.
 func (b *Buffers[T]) Auto(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
-	var res Result[T]
-	var err error
-	if autoKind(len(values), m, cfg) == kindChunked {
-		res, err = b.Chunked(op, values, labels, m, cfg)
-	} else {
-		res, err = b.serialCtxIn(op, values, labels, m, cfg)
-	}
-	if err == nil {
-		return res, nil
-	}
-	if errors.Is(err, ErrBadInput) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return Result[T]{}, err
-	}
-	return b.Serial(op, values, labels, m)
+	return b.auto(op, values, labels, m, cfg, true)
 }
 
 // AutoReduce is the multireduce counterpart of Buffers.Auto.
 func (b *Buffers[T]) AutoReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
-	var red []T
+	res, err := b.auto(op, values, labels, m, cfg, false)
+	return res.Reductions, err
+}
+
+func (b *Buffers[T]) auto(op Op[T], values []T, labels []int, m int, cfg Config, wantMulti bool) (Result[T], error) {
+	var res Result[T]
 	var err error
 	if autoKind(len(values), m, cfg) == kindChunked {
-		red, err = b.ChunkedReduce(op, values, labels, m, cfg)
+		res, err = b.chunked(op, values, labels, m, cfg, wantMulti)
 	} else {
-		red, err = b.serialReduceCtxIn(op, values, labels, m, cfg)
+		res, err = b.serialCtxIn(op, values, labels, m, cfg, wantMulti)
 	}
-	if err == nil {
-		return red, nil
+	if err == nil || errors.Is(err, ErrBadInput) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return res, err
 	}
-	if errors.Is(err, ErrBadInput) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return nil, err
-	}
-	return b.SerialReduce(op, values, labels, m)
+	return b.serialCtxIn(op, values, labels, m, Config{}, wantMulti)
 }

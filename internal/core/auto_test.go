@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -72,9 +73,11 @@ func TestAutoCandidates(t *testing.T) {
 // (BENCH_engines.json calibration.decisions), plus the NAS IS rank
 // shape (2^20, 2^19) and three shapes beyond the crossover, AutoChoice
 // equals the rule — serial unless workers > 1, n > SerialMax and
-// m <= n — at 1, 2 and 8 workers, whatever the probe measured: the
-// process calibration, no probe, and two synthetic probes with
-// opposite timings all choose alike.
+// m <= n — at every worker count the snapshot records, whatever the
+// probe measured: the process calibration, no probe, and two
+// synthetic probes with opposite timings all choose alike. The
+// recorded choices themselves must follow the rule at the constant
+// 2^20 crossover.
 func TestAutoChoiceIgnoresTiming(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_engines.json")
 	if err != nil {
@@ -82,7 +85,10 @@ func TestAutoChoiceIgnoresTiming(t *testing.T) {
 	}
 	var snap struct {
 		Calibration struct {
-			Decisions []struct{ N, M int } `json:"decisions"`
+			Decisions []struct {
+				N, M, Workers int
+				Choice        string
+			} `json:"decisions"`
 		} `json:"calibration"`
 	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
@@ -91,9 +97,31 @@ func TestAutoChoiceIgnoresTiming(t *testing.T) {
 	if len(snap.Calibration.Decisions) == 0 {
 		t.Fatal("BENCH_engines.json records no calibration decisions")
 	}
-	shapes := append(snap.Calibration.Decisions, []struct{ N, M int }{
+	rule := func(n, m, workers, serialMax int) string {
+		if workers > 1 && n > serialMax && m <= n {
+			return "chunked"
+		}
+		return "serial"
+	}
+	shapes := []struct{ N, M int }{
 		{1 << 20, 1 << 19}, {1 << 22, 16}, {1 << 22, 1 << 22}, {1 << 22, 1 << 23},
-	}...)
+	}
+	var workerCounts []int
+	for _, d := range snap.Calibration.Decisions {
+		if d.Workers < 1 {
+			t.Fatalf("decision (%d, %d) records no worker count", d.N, d.M)
+		}
+		if want := rule(d.N, d.M, d.Workers, 1<<20); d.Choice != want {
+			t.Errorf("snapshot records %q for (%d, %d) at %d workers, rule says %q", d.Choice, d.N, d.M, d.Workers, want)
+		}
+		shapes = append(shapes, struct{ N, M int }{d.N, d.M})
+		if !slices.Contains(workerCounts, d.Workers) {
+			workerCounts = append(workerCounts, d.Workers)
+		}
+	}
+	if len(workerCounts) < 2 {
+		t.Fatalf("snapshot records decisions at worker counts %v; the rule needs more than one worker to show", workerCounts)
+	}
 	fast := &MemProbe{StreamBps: 100e9, CopyBps: 100e9, RandomWS: []int{1 << 15, 1 << 23}, RandomNs: []float64{1, 2}}
 	slow := &MemProbe{StreamBps: 1e9, CopyBps: 1e9, RandomWS: []int{1 << 15, 1 << 23}, RandomNs: []float64{5, 500}}
 	process := DefaultCalibration()
@@ -107,12 +135,9 @@ func TestAutoChoiceIgnoresTiming(t *testing.T) {
 		t.Fatalf("process SerialMax = %d, want the constant 2^20", process.SerialMax)
 	}
 	for name, cal := range cals {
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range workerCounts {
 			for _, sh := range shapes {
-				want := "serial"
-				if workers > 1 && sh.N > cal.SerialMax && sh.M <= sh.N {
-					want = "chunked"
-				}
+				want := rule(sh.N, sh.M, workers, cal.SerialMax)
 				if got := AutoChoice(sh.N, sh.M, Config{Workers: workers, AutoCal: &cal}); got != want {
 					t.Errorf("%s/w%d: AutoChoice(%d, %d) = %q, want %q", name, workers, sh.N, sh.M, got, want)
 				}
@@ -201,7 +226,7 @@ func TestAutoErrorPassthrough(t *testing.T) {
 	}
 
 	// Pre-cancelled context: context.Canceled on every branch,
-	// including the serial one (serialCtx honors cfg.Ctx).
+	// including the serial one (serialCtxIn honors cfg.Ctx).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(31))

@@ -8,42 +8,6 @@ import (
 	"multiprefix/internal/par"
 )
 
-// chunkLists pools the type-independent per-chunk bookkeeping of the
-// one-shot chunked engines: the first-touch label lists and the seen
-// bitmaps. Growing the label lists by append cost the one-shot generic
-// variant ~W·log2(m) allocations per call at n=2^16 (64 allocs/op in
-// the committed benchmark snapshot); pooling them the way the Buffers
-// path pools its chunkRunner state leaves only the per-call result and
-// bucket storage. The lists hold ints and bools — no element type —
-// so one process-wide pool serves every instantiation.
-type chunkLists struct {
-	seen    [][]bool
-	touched [][]int
-}
-
-var chunkListPool = sync.Pool{New: func() any { return new(chunkLists) }}
-
-// acquireChunkLists returns pooled per-chunk lists sized for a
-// (workers, m) run: seen bitmaps cleared, touched lists empty with
-// capacity m so first-touch appends never grow.
-func acquireChunkLists(workers, m int) *chunkLists {
-	cl := chunkListPool.Get().(*chunkLists)
-	for len(cl.seen) < workers {
-		cl.seen = append(cl.seen, nil)
-		cl.touched = append(cl.touched, nil)
-	}
-	for w := 0; w < workers; w++ {
-		cl.seen[w] = grown(cl.seen[w], m)
-		clear(cl.seen[w])
-		if cap(cl.touched[w]) < m {
-			cl.touched[w] = make([]int, 0, m)
-		} else {
-			cl.touched[w] = cl.touched[w][:0]
-		}
-	}
-	return cl
-}
-
 // cancelStride is how many elements a chunked worker processes between
 // polls of the cancellation flag and context. Small enough that a
 // mid-run cancellation on multi-million-element inputs returns in well
@@ -108,169 +72,210 @@ func (g *chunkGuard) interrupted(ctx context.Context) bool {
 // The execution is hardened: a panic in Op.Combine inside any worker is
 // recovered into a typed *EnginePanicError and returned, and cfg.Ctx,
 // when set, cancels the run within cancelStride elements.
-func Chunked[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-
-	multi := make([]T, n)
-	local := make([][]T, workers) // per-chunk buckets, reused as offsets
-	cl := acquireChunkLists(workers, m)
-	defer chunkListPool.Put(cl)
-	hook := cfg.FaultHook
-	fast := op.fastKind(hook)
-	var g chunkGuard
-
-	// Pass 1+2: local serial multiprefix per chunk.
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
-				}
-			}()
-			lo, hi := par.Range(n, workers, w)
-			buckets := make([]T, m)
-			cl.touched[w] = chunkLocalPass(fast, op, values, labels, multi, buckets, cl.seen[w], cl.touched[w], lo, hi, hook, &g, cfg.Ctx)
-			local[w] = buckets
-		}(w)
-	}
-	wg.Wait()
-	if err := g.first(); err != nil {
-		return Result[T]{}, err
-	}
-
-	// Pass 3: exclusive scan across chunks, per label. running[l] holds
-	// the combine of chunks 0..w-1 for label l; each chunk's bucket slot
-	// is replaced by its offset (the exclusive prefix).
-	phase = PhaseChunkMerge
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	running := make([]T, m)
-	fillIdentity(running, op.Identity)
-	for w := 0; w < workers; w++ {
-		for _, l := range cl.touched[w] {
-			offset := running[l]
-			if hook != nil {
-				hook.Combine(PhaseChunkMerge, l)
-			}
-			running[l] = op.Combine(running[l], local[w][l])
-			local[w][l] = offset
-		}
-	}
-
-	// Pass 4: apply offsets. Chunk 0 needs no fix-up (offsets are the
-	// identity), so start at chunk 1.
-	phase = PhaseChunkApply
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.fail(newEnginePanic("chunked", PhaseChunkApply, w, rec))
-				}
-			}()
-			lo, hi := par.Range(n, workers, w)
-			offsets := local[w]
-			for seg := lo; seg < hi; seg += cancelStride {
-				if g.interrupted(cfg.Ctx) {
-					return
-				}
-				end := seg + cancelStride
-				if end > hi {
-					end = hi
-				}
-				if tryChunkApply(fast, labels, offsets, multi, seg, end) {
-					continue
-				}
-				for i := seg; i < end; i++ {
-					if hook != nil {
-						hook.Combine(PhaseChunkApply, i)
-					}
-					multi[i] = op.Combine(offsets[labels[i]], multi[i])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := g.first(); err != nil {
-		return Result[T]{}, err
-	}
-
-	return Result[T]{Multi: multi, Reductions: running}, nil
+//
+// Chunked runs Buffers.Chunked on a pooled Buffers whose worker
+// goroutines exit with each round; the result belongs to the caller.
+func Chunked[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).Chunked)
 }
 
 // ChunkedReduce is the multireduce counterpart of Chunked: per-chunk
 // local reductions combined across chunks in vector order, hardened
 // the same way.
-func ChunkedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
+func ChunkedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).ChunkedReduce)
+}
+
+// Chunked is Chunked reusing b's per-chunk buckets, result storage and
+// worker team. Chunk bodies never touch the round's barrier, so a
+// failed chunked run leaves the team healthy.
+//
+//mp:hotpath
+func (b *Buffers[T]) Chunked(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return b.chunked(op, values, labels, m, cfg, true)
+}
+
+// ChunkedReduce is ChunkedReduce on pooled state.
+//
+//mp:hotpath
+func (b *Buffers[T]) ChunkedReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	res, err := b.chunked(op, values, labels, m, cfg, false)
+	return res.Reductions, err
+}
+
+// chunked runs passes 1–3 of the chunked engine, and pass 4 when
+// wantMulti asks for the prefixes as well as the reductions.
+//
+//mp:hotpath
+func (b *Buffers[T]) chunked(op Op[T], values []T, labels []int, m int, cfg Config, wantMulti bool) (res Result[T], err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
+		return Result[T]{}, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
+		return Result[T]{}, err
 	}
 	n := len(values)
 	workers := chunkWorkers(cfg.Workers, n)
+	var multi []T
+	if wantMulti {
+		multi = b.growMulti(n)
+	}
+	red := b.growRed(m)
 	phase := PhaseChunkLocal
 	defer recoverEnginePanic("chunked", &phase, &err)
+	if b.chunk == nil {
+		b.chunk = newChunkRunner[T]()
+	}
+	r := b.chunk
+	r.reset(op, values, labels, multi, m, workers, cfg)
+	b.round(workers, r.localBody)
+	if err := r.g.first(); err != nil {
+		return Result[T]{}, err
+	}
 
-	local := make([][]T, workers)
-	cl := acquireChunkLists(workers, m)
-	defer chunkListPool.Put(cl)
-	hook := cfg.FaultHook
-	fast := op.fastKind(hook)
-	var g chunkGuard
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
-				}
-			}()
-			lo, hi := par.Range(n, workers, w)
-			buckets := make([]T, m)
-			cl.touched[w] = chunkLocalPass(fast, op, values, labels, nil, buckets, cl.seen[w], cl.touched[w], lo, hi, hook, &g, cfg.Ctx)
-			local[w] = buckets
-		}(w)
-	}
-	wg.Wait()
-	if err := g.first(); err != nil {
-		return nil, err
-	}
 	phase = PhaseChunkMerge
 	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
+		return Result[T]{}, err
 	}
-	out := make([]T, m)
-	fillIdentity(out, op.Identity)
+	r.merge(red)
+	if !wantMulti || workers == 1 {
+		return Result[T]{Multi: multi, Reductions: red}, nil
+	}
+
+	phase = PhaseChunkApply
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return Result[T]{}, err
+	}
+	b.round(workers, r.applyBody)
+	if err := r.g.first(); err != nil {
+		return Result[T]{}, err
+	}
+	return Result[T]{Multi: multi, Reductions: red}, nil
+}
+
+// chunkRunner is the reusable state of the chunked engine: the
+// per-chunk buckets, first-touch bookkeeping and prebound worker
+// bodies. The bodies never use the round's barrier — chunk passes
+// synchronize only through the round itself — so a chunked failure
+// never poisons a team.
+type chunkRunner[T any] struct {
+	op      Op[T]
+	values  []T
+	labels  []int
+	multi   []T // nil in reduce-only runs
+	fast    FastOp
+	hook    FaultHook
+	ctx     context.Context
+	workers int
+	n       int
+	buckets [][]T
+	seen    [][]bool
+	touched [][]int
+	g       chunkGuard
+
+	localBody func(w int, bar *par.Barrier)
+	applyBody func(w int, bar *par.Barrier)
+}
+
+func newChunkRunner[T any]() *chunkRunner[T] {
+	r := &chunkRunner[T]{}
+	r.localBody = r.local
+	r.applyBody = r.apply
+	return r
+}
+
+// reset rebinds the runner to one run's inputs and sizes the per-chunk
+// state for (workers, m): each first-touch list gets capacity m up
+// front, so the local pass's appends never grow it.
+func (r *chunkRunner[T]) reset(op Op[T], values []T, labels []int, multi []T, m, workers int, cfg Config) {
+	r.op, r.values, r.labels, r.multi = op, values, labels, multi
+	r.hook = cfg.FaultHook
+	r.fast = op.fastKind(cfg.FaultHook)
+	r.ctx = cfg.Ctx
+	r.workers = workers
+	r.n = len(values)
+	for len(r.buckets) < workers {
+		r.buckets = append(r.buckets, nil)
+		r.seen = append(r.seen, nil)
+		r.touched = append(r.touched, nil)
+	}
 	for w := 0; w < workers; w++ {
-		for _, l := range cl.touched[w] {
-			if hook != nil {
-				hook.Combine(PhaseChunkMerge, l)
-			}
-			out[l] = op.Combine(out[l], local[w][l])
+		r.buckets[w] = grown(r.buckets[w], m)
+		r.seen[w] = grown(r.seen[w], m)
+		if cap(r.touched[w]) < m {
+			r.touched[w] = make([]int, 0, m)
 		}
 	}
-	return out, nil
+	r.g.stop.Store(false)
+	r.g.mu.Lock()
+	r.g.err = nil
+	r.g.mu.Unlock()
+}
+
+// local runs one chunk's local serial multiprefix (passes 1+2).
+func (r *chunkRunner[T]) local(w int, _ *par.Barrier) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
+		}
+	}()
+	lo, hi := par.Range(r.n, r.workers, w)
+	buckets, seen := r.buckets[w], r.seen[w]
+	clear(seen)
+	order := r.touched[w][:0]
+	order = chunkLocalPass(r.fast, r.op, r.values, r.labels, r.multi, buckets, seen, order, lo, hi, r.hook, &r.g, r.ctx)
+	r.touched[w] = order
+}
+
+// merge is pass 3 on the caller's goroutine: the exclusive scan across
+// chunks per label, leaving each chunk's bucket slot holding its
+// offset and red holding the total reductions.
+func (r *chunkRunner[T]) merge(red []T) {
+	fillIdentity(red, r.op.Identity)
+	for w := 0; w < r.workers; w++ {
+		bw := r.buckets[w]
+		for _, l := range r.touched[w] {
+			offset := red[l]
+			if r.hook != nil {
+				r.hook.Combine(PhaseChunkMerge, l)
+			}
+			red[l] = r.op.Combine(red[l], bw[l])
+			bw[l] = offset
+		}
+	}
+}
+
+// apply is pass 4: add each chunk's offsets onto its local prefix
+// sums. Chunk 0's offsets are the identity, so worker 0 idles.
+func (r *chunkRunner[T]) apply(w int, _ *par.Barrier) {
+	if w == 0 {
+		return
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.g.fail(newEnginePanic("chunked", PhaseChunkApply, w, rec))
+		}
+	}()
+	lo, hi := par.Range(r.n, r.workers, w)
+	offsets := r.buckets[w]
+	for seg := lo; seg < hi; seg += cancelStride {
+		if r.g.interrupted(r.ctx) {
+			return
+		}
+		end := seg + cancelStride
+		if end > hi {
+			end = hi
+		}
+		if tryChunkApply(r.fast, r.labels, offsets, r.multi, seg, end) {
+			continue
+		}
+		for i := seg; i < end; i++ {
+			if r.hook != nil {
+				r.hook.Combine(PhaseChunkApply, i)
+			}
+			r.multi[i] = r.op.Combine(offsets[r.labels[i]], r.multi[i])
+		}
+	}
 }
 
 // chunkLocalPass runs one chunk's local serial multiprefix over

@@ -34,62 +34,97 @@ import (
 // siblings drain instead of deadlocking, and the engine returns the
 // error with no goroutine leaked. cfg.Ctx, when set, cancels the run
 // at the next barrier boundary.
-func Parallel[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
+//
+// Parallel runs Buffers.Parallel on a pooled Buffers whose worker
+// goroutines exit with each round; the result belongs to the caller.
+func Parallel[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).Parallel)
+}
+
+// ParallelReduce is the multireduce counterpart of Parallel, hardened
+// the same way.
+func ParallelReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).ParallelReduce)
+}
+
+// Parallel is Parallel reusing b's arena, result storage and worker
+// team. Every worker of a failed round (panic, cancellation) has left
+// the team's inner barrier, so the team is closed and the next call
+// starts a new one.
+//
+//mp:hotpath
+func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return b.parallel(op, values, labels, m, cfg, true)
+}
+
+// ParallelReduce is ParallelReduce on pooled state.
+//
+//mp:hotpath
+func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	res, err := b.parallel(op, values, labels, m, cfg, false)
+	return res.Reductions, err
+}
+
+// parallel runs the SPINETREE, ROWSUMS and SPINESUMS phases as one
+// round, the reduce on the caller's goroutine, and the MULTISUMS phase
+// as a second round when wantMulti asks for the prefixes.
+//
+//mp:hotpath
+func (b *Buffers[T]) parallel(op Op[T], values []T, labels []int, m int, cfg Config, wantMulti bool) (res Result[T], err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return Result[T]{}, err
 	}
-	a, err := newArena(op, labels, m, cfg)
-	if err != nil {
+	a := &b.arena
+	if err := a.prepare(op, labels, m, cfg); err != nil {
 		return Result[T]{}, err
 	}
-	multi := make([]T, len(values))
-	run := newParRunner(a, op, values, labels, cfg)
-	run.multi = multi
+	var multi []T
+	if wantMulti {
+		multi = b.growMulti(len(values))
+	}
+	red := b.growRed(m)
+	workers := parWorkers(cfg.Workers, a.grid.P)
+	if b.runner == nil {
+		b.runner = newPooledParRunner[T]()
+	}
+	r := b.runner
+	r.reset(a, op, values, labels, multi, workers, cfg)
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("parallel", &phase, &err)
-	run.spinetree()
-	run.rowsums()
-	run.spinesums()
-	if err := run.failure(); err != nil {
+	b.round(workers, r.mainBody)
+	if err := r.failure(); err != nil {
+		b.dropTeam()
 		return Result[T]{}, err
 	}
 	phase = PhaseReduce
-	red := a.reductions(op, run.hook)
+	a.reductionsInto(op, r.hook, red)
+	if !wantMulti {
+		return Result[T]{Reductions: red}, nil
+	}
 	phase = PhaseMultisums
-	run.multisums()
-	if err := run.failure(); err != nil {
+	b.round(workers, r.multiBody)
+	if err := r.failure(); err != nil {
+		b.dropTeam()
 		return Result[T]{}, err
 	}
 	return Result[T]{Multi: multi, Reductions: red}, nil
 }
 
-// ParallelReduce is the multireduce counterpart of Parallel, hardened
-// the same way.
-func ParallelReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
+// parWorkers resolves the worker count for the parallel engines: the
+// shared par.ClampWorkers normalization, capped by the grid width (no
+// point exceeding the widest pardo).
+func parWorkers(workers, gridP int) int {
+	workers = par.ClampWorkers(workers)
+	if workers > gridP {
+		workers = gridP
 	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
+	if workers < 1 {
+		workers = 1
 	}
-	a, err := newArena(op, labels, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	run := newParRunner(a, op, values, labels, cfg)
-	phase := PhaseSpinetree
-	defer recoverEnginePanic("parallel", &phase, &err)
-	run.spinetree()
-	run.rowsums()
-	run.spinesums()
-	if err := run.failure(); err != nil {
-		return nil, err
-	}
-	phase = PhaseReduce
-	return a.reductions(op, run.hook), nil
+	return workers
 }
 
 // arbLockStripes is the stripe count for the MutexArb ablation.
@@ -120,19 +155,6 @@ type parRunner[T any] struct {
 	multiBody func(w int, bar *par.Barrier)
 }
 
-func newParRunner[T any](a *arena[T], op Op[T], values []T, labels []int, cfg Config) *parRunner[T] {
-	workers := parWorkers(cfg.Workers, a.grid.P)
-	r := &parRunner[T]{
-		a: a, op: op, values: values, labels: labels,
-		workers: workers, test: cfg.SpineTest, ctx: cfg.Ctx, hook: cfg.FaultHook,
-		fast: op.fastKind(cfg.FaultHook),
-	}
-	if cfg.MutexArb {
-		r.locks = make([]sync.Mutex, arbLockStripes)
-	}
-	return r
-}
-
 // fail records the run's first failure and signals every worker to
 // drain at its next step boundary.
 func (r *parRunner[T]) fail(err error) {
@@ -149,40 +171,6 @@ func (r *parRunner[T]) failure() error {
 	r.failMu.Lock()
 	defer r.failMu.Unlock()
 	return r.err
-}
-
-// launch runs body on every worker and waits. body receives the worker
-// id and a barrier shared by exactly the workers. A panic inside body
-// is recovered into an *EnginePanicError and the panicking worker
-// leaves the barrier (par.Barrier.Drop), so sibling workers complete
-// their phases with the shrunken party count instead of deadlocking.
-func (r *parRunner[T]) launch(phase string, body func(w int, bar *par.Barrier)) {
-	if r.stop.Load() {
-		return
-	}
-	guarded := func(w int, bar *par.Barrier) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				r.fail(newEnginePanic("parallel", phase, w, rec))
-				bar.Drop()
-			}
-		}()
-		body(w, bar)
-	}
-	if r.workers == 1 {
-		guarded(0, par.NewBarrier(1))
-		return
-	}
-	bar := par.NewBarrier(r.workers)
-	var wg sync.WaitGroup
-	wg.Add(r.workers)
-	for w := 0; w < r.workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			guarded(w, bar)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // bail polls for failure and cancellation at a step boundary. A true
@@ -209,7 +197,7 @@ func (r *parRunner[T]) sync(bar *par.Barrier, phase string, w int) {
 	if r.hook != nil {
 		r.hook.Barrier(phase, w)
 	}
-	bar.Await() //mp:nolint every engine body runs under guarded(), whose defer Drops the barrier on panic
+	bar.Await() //mp:nolint every loop runs under teamMain/teamMulti, whose defer Drops the barrier on panic
 }
 
 // combine applies the operator, reporting the element to the fault
@@ -221,17 +209,16 @@ func (r *parRunner[T]) combine(phase string, i int, x, y T) T {
 	return r.op.Combine(x, y)
 }
 
-// spinetree runs the SPINETREE phase: for each row, top to bottom, a
-// gather half-step (concurrent read of bucket spines) and a scatter
+// spinetreeLoop runs the SPINETREE phase: for each row, top to bottom,
+// a gather half-step (concurrent read of bucket spines) and a scatter
 // half-step (ARB concurrent write), separated by barriers so that PRAM
-// read-before-write semantics hold within the step.
-func (r *parRunner[T]) spinetree() { r.launch(PhaseSpinetree, r.spinetreeLoop) }
-
-func (r *parRunner[T]) spinetreeLoop(w int, bar *par.Barrier) {
+// read-before-write semantics hold within the step. Like every phase
+// loop it returns true when it bailed, having dropped the barrier.
+func (r *parRunner[T]) spinetreeLoop(w int, bar *par.Barrier) bool {
 	a, m := r.a, r.a.m
 	for row := a.grid.Rows - 1; row >= 0; row-- {
 		if r.bail(bar, w) {
-			return
+			return true
 		}
 		lo, hi := a.grid.Row(row)
 		wlo, whi := par.Range(hi-lo, r.workers, w)
@@ -254,19 +241,19 @@ func (r *parRunner[T]) spinetreeLoop(w int, bar *par.Barrier) {
 		}
 		r.sync(bar, PhaseSpinetree, w)
 	}
+	return false
 }
 
-// rowsums runs the ROWSUMS phase column by column. Within a column all
-// parents are distinct (Corollary 1), so plain writes suffice; the
-// barrier between columns orders sibling updates so that a parent's
-// rowsum accumulates in vector order even for non-commutative ops.
-func (r *parRunner[T]) rowsums() { r.launch(PhaseRowsums, r.rowsumsLoop) }
-
-func (r *parRunner[T]) rowsumsLoop(w int, bar *par.Barrier) {
+// rowsumsLoop runs the ROWSUMS phase column by column. Within a
+// column all parents are distinct (Corollary 1), so plain writes
+// suffice; the barrier between columns orders sibling updates so that
+// a parent's rowsum accumulates in vector order even for
+// non-commutative ops.
+func (r *parRunner[T]) rowsumsLoop(w int, bar *par.Barrier) bool {
 	a, m := r.a, r.a.m
 	for c := 0; c < a.grid.P; c++ {
 		if r.bail(bar, w) {
-			return
+			return true
 		}
 		colLen := a.grid.ColumnLen(c)
 		wlo, whi := par.Range(colLen, r.workers, w)
@@ -282,18 +269,17 @@ func (r *parRunner[T]) rowsumsLoop(w int, bar *par.Barrier) {
 		}
 		r.sync(bar, PhaseRowsums, w)
 	}
+	return false
 }
 
-// spinesums runs the SPINESUMS phase row by row, bottom to top. At most
-// one spine element per class per row and distinct parents across
-// classes make each step EREW.
-func (r *parRunner[T]) spinesums() { r.launch(PhaseSpinesums, r.spinesumsLoop) }
-
-func (r *parRunner[T]) spinesumsLoop(w int, bar *par.Barrier) {
+// spinesumsLoop runs the SPINESUMS phase row by row, bottom to top.
+// At most one spine element per class per row and distinct parents
+// across classes make each step EREW.
+func (r *parRunner[T]) spinesumsLoop(w int, bar *par.Barrier) bool {
 	a, m := r.a, r.a.m
 	for row := 0; row < a.grid.Rows; row++ {
 		if r.bail(bar, w) {
-			return
+			return true
 		}
 		lo, hi := a.grid.Row(row)
 		wlo, whi := par.Range(hi-lo, r.workers, w)
@@ -312,16 +298,13 @@ func (r *parRunner[T]) spinesumsLoop(w int, bar *par.Barrier) {
 		}
 		r.sync(bar, PhaseSpinesums, w)
 	}
+	return false
 }
 
-// multisums runs the MULTISUMS phase column by column; same EREW
-// argument as rowsums.
-func (r *parRunner[T]) multisums() { r.launch(PhaseMultisums, r.multisumsLoop) }
-
-// newPooledParRunner builds an empty runner whose team-round bodies
-// are bound once; reset rebinds the per-call state. The pooled engines
-// keep one of these per Buffers so a steady-state call allocates
-// neither closures nor the runner.
+// newPooledParRunner builds an empty runner whose round bodies are
+// bound once; reset rebinds the per-call state. Each Buffers keeps one
+// of these, so a steady-state call allocates neither closures nor the
+// runner.
 func newPooledParRunner[T any]() *parRunner[T] {
 	r := &parRunner[T]{}
 	r.mainBody = r.teamMain
@@ -330,7 +313,7 @@ func newPooledParRunner[T any]() *parRunner[T] {
 }
 
 // reset rebinds the runner to one run's inputs. workers must equal the
-// team's worker count.
+// round's worker count.
 func (r *parRunner[T]) reset(a *arena[T], op Op[T], values []T, labels []int, multi []T, workers int, cfg Config) {
 	r.a, r.op, r.values, r.labels, r.multi = a, op, values, labels, multi
 	r.workers = workers
@@ -347,14 +330,20 @@ func (r *parRunner[T]) reset(a *arena[T], op Op[T], values []T, labels []int, mu
 	r.err = nil
 }
 
-// teamMain is one team round covering the SPINETREE, ROWSUMS and
-// SPINESUMS phases back to back: within each phase the loop structure
-// (and thus the barrier arrival count) is identical on every worker,
-// and each phase's final row/column barrier orders its writes before
-// the next phase's reads, so no extra synchronization is needed
-// between phases. A worker that observes the stop flag after a phase
-// returns early; its siblings drain via their own bail polls, exactly
-// as in the per-phase launch path.
+// teamMain is one round covering the SPINETREE, ROWSUMS and SPINESUMS
+// phases back to back: within each phase the loop structure (and thus
+// the barrier arrival count) is identical on every worker, and each
+// phase's final row/column barrier orders its writes before the next
+// phase's reads, so no extra synchronization is needed between phases.
+//
+// A failed round must take every worker out of the barrier exactly
+// once: a worker that panics Drops in the deferred recover, and one
+// that sees the failure Drops in bail and returns at once. A worker
+// that finishes a phase while a sibling is failing goes on into the
+// next phase, whose first bail takes it out. Returning between phases
+// without a Drop would leave siblings already in the next phase
+// waiting for it forever; dropping again in a later phase would shrink
+// the party count below the workers still running.
 func (r *parRunner[T]) teamMain(w int, bar *par.Barrier) {
 	phase := PhaseSpinetree
 	defer func() {
@@ -363,21 +352,20 @@ func (r *parRunner[T]) teamMain(w int, bar *par.Barrier) {
 			bar.Drop()
 		}
 	}()
-	r.spinetreeLoop(w, bar)
-	if r.stop.Load() {
+	if r.spinetreeLoop(w, bar) {
 		return
 	}
 	phase = PhaseRowsums
-	r.rowsumsLoop(w, bar)
-	if r.stop.Load() {
+	if r.rowsumsLoop(w, bar) {
 		return
 	}
 	phase = PhaseSpinesums
 	r.spinesumsLoop(w, bar)
 }
 
-// teamMulti is the second team round: the MULTISUMS phase, run after
-// the caller has taken the reductions off the arena.
+// teamMulti is the second round: the MULTISUMS phase, run after the
+// caller has taken the reductions off the arena. It runs column by
+// column; same EREW argument as ROWSUMS.
 func (r *parRunner[T]) teamMulti(w int, bar *par.Barrier) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -388,11 +376,11 @@ func (r *parRunner[T]) teamMulti(w int, bar *par.Barrier) {
 	r.multisumsLoop(w, bar)
 }
 
-func (r *parRunner[T]) multisumsLoop(w int, bar *par.Barrier) {
+func (r *parRunner[T]) multisumsLoop(w int, bar *par.Barrier) bool {
 	a, m := r.a, r.a.m
 	for c := 0; c < a.grid.P; c++ {
 		if r.bail(bar, w) {
-			return
+			return true
 		}
 		colLen := a.grid.ColumnLen(c)
 		wlo, whi := par.Range(colLen, r.workers, w)
@@ -406,4 +394,5 @@ func (r *parRunner[T]) multisumsLoop(w int, bar *par.Barrier) {
 		}
 		r.sync(bar, PhaseMultisums, w)
 	}
+	return false
 }

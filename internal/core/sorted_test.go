@@ -276,13 +276,14 @@ func FuzzSortedIndex(f *testing.F) {
 func TestSortedCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	values, labels := randInput(rng, 3000, 11)
+	b := NewWorkspace[int64]().Acquire()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := serialCtx(AddInt64, values, labels, 11, Config{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("serialCtx pre-cancelled: %v", err)
+	if _, err := b.serialCtxIn(AddInt64, values, labels, 11, Config{Ctx: ctx}, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("serialCtxIn pre-cancelled: %v", err)
 	}
-	if _, err := serialReduceCtx(AddInt64, values, labels, 11, Config{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("serialReduceCtx pre-cancelled: %v", err)
+	if _, err := b.serialCtxIn(AddInt64, values, labels, 11, Config{Ctx: ctx}, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("serialCtxIn reduce-only pre-cancelled: %v", err)
 	}
 
 	// Mid-pass: an operator that cancels on its first combine; the big
@@ -295,8 +296,8 @@ func TestSortedCancellation(t *testing.T) {
 		Identity: 0,
 		Combine:  func(a, b int64) int64 { cancel(); return a + b },
 	}
-	if _, err := serialCtx(cancelling, big, bigLabels, 4, Config{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("serialCtx cancelled mid-pass: %v", err)
+	if _, err := b.serialCtxIn(cancelling, big, bigLabels, 4, Config{Ctx: ctx}, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("serialCtxIn cancelled mid-pass: %v", err)
 	}
 }
 

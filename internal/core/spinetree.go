@@ -281,62 +281,80 @@ func (a *arena[T]) reductionsInto(op Op[T], hook FaultHook, red []T) {
 // four-phase algorithm executed sequentially. It performs O(n + m) work
 // in O(n + m) space; the point of the sequential engine is bit-exact
 // equivalence with Serial for any Grid shape, which the tests verify,
-// plus exposure of the intermediate structure for traces.
-func Spinetree[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	a, err := newArena(op, labels, m, cfg)
-	if err != nil {
-		return Result[T]{}, err
-	}
-	phase := PhaseSpinetree
-	defer recoverEnginePanic("spinetree", &phase, &err)
-	multi := make([]T, len(values))
-	var red []T
-	a.phaseSpinetree(labels)
-	for _, step := range []struct {
-		name string
-		run  func()
-	}{
-		{PhaseRowsums, func() { a.phaseRowsums(op, values, cfg.FaultHook) }},
-		{PhaseSpinesums, func() { a.phaseSpinesums(op, cfg.SpineTest, cfg.FaultHook) }},
-		{PhaseReduce, func() { red = a.reductions(op, cfg.FaultHook) }},
-		{PhaseMultisums, func() { a.phaseMultisums(op, values, multi, cfg.FaultHook) }},
-	} {
-		if err := ctxErr(cfg.Ctx); err != nil {
-			return Result[T]{}, err
-		}
-		phase = step.name
-		step.run()
-	}
-	return Result[T]{Multi: multi, Reductions: red}, nil
+// plus exposure of the intermediate structure for traces. It runs
+// Buffers.Spinetree on a pooled Buffers; the result belongs to the
+// caller.
+func Spinetree[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).Spinetree)
 }
 
 // SpinetreeReduce computes only the reductions (multireduce, §4.2),
 // skipping the MULTISUMS phase entirely — the saving the paper
 // quantifies as ~6 of ~7 clocks per element for the final phase.
-func SpinetreeReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
+func SpinetreeReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	return oneShot(op, values, labels, m, cfg, (*Buffers[T]).SpinetreeReduce)
+}
+
+// Spinetree is Spinetree reusing b's arena and result storage.
+//
+//mp:hotpath
+func (b *Buffers[T]) Spinetree(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return b.spinetree(op, values, labels, m, cfg, true)
+}
+
+// SpinetreeReduce is SpinetreeReduce reusing b's arena and storage.
+//
+//mp:hotpath
+func (b *Buffers[T]) SpinetreeReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	res, err := b.spinetree(op, values, labels, m, cfg, false)
+	return res.Reductions, err
+}
+
+// spinetree runs the four phases in order, polling cfg.Ctx between
+// them, and skips MULTISUMS unless wantMulti asks for the prefixes.
+//
+//mp:hotpath
+func (b *Buffers[T]) spinetree(op Op[T], values []T, labels []int, m int, cfg Config, wantMulti bool) (res Result[T], err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
+		return Result[T]{}, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
+		return Result[T]{}, err
 	}
-	a, err := newArena(op, labels, m, cfg)
-	if err != nil {
-		return nil, err
+	a := &b.arena
+	if err := a.prepare(op, labels, m, cfg); err != nil {
+		return Result[T]{}, err
 	}
+	var multi []T
+	if wantMulti {
+		multi = b.growMulti(len(values))
+	}
+	red := b.growRed(m)
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("spinetree", &phase, &err)
 	a.phaseSpinetree(labels)
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return Result[T]{}, err
+	}
 	phase = PhaseRowsums
 	a.phaseRowsums(op, values, cfg.FaultHook)
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return Result[T]{}, err
+	}
 	phase = PhaseSpinesums
 	a.phaseSpinesums(op, cfg.SpineTest, cfg.FaultHook)
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return Result[T]{}, err
+	}
 	phase = PhaseReduce
-	return a.reductions(op, cfg.FaultHook), nil
+	a.reductionsInto(op, cfg.FaultHook, red)
+	if !wantMulti {
+		return Result[T]{Reductions: red}, nil
+	}
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return Result[T]{}, err
+	}
+	phase = PhaseMultisums
+	a.phaseMultisums(op, values, multi, cfg.FaultHook)
+	return Result[T]{Multi: multi, Reductions: red}, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -56,9 +55,10 @@ type Buffers[T any] struct {
 	lab   []int // labels scratch for derived helpers (SegmentedScanIn)
 	arena arena[T]
 
-	team   *par.Team
-	runner *parRunner[T]   // pooled Parallel state
-	chunk  *chunkRunner[T] // pooled Chunked state
+	team    *par.Team
+	oneShot bool            // rounds run on goroutines that exit with them (see round)
+	runner  *parRunner[T]   // Parallel state
+	chunk   *chunkRunner[T] // Chunked state
 }
 
 func (b *Buffers[T]) growMulti(n int) []T {
@@ -90,13 +90,70 @@ func (b *Buffers[T]) ensureTeam(workers int) *par.Team {
 }
 
 // dropTeam shuts the team down; the next call rebuilds it. Called
-// after a failed Parallel run, whose barrier Drop may have poisoned
+// after a failed Parallel round, whose workers have all dropped out of
 // the team's inner barrier.
 func (b *Buffers[T]) dropTeam() {
 	if b.team != nil {
 		b.team.Close()
 		b.team = nil
 	}
+}
+
+// round runs body(w, bar) for every w in [0, workers) and waits for
+// all of them; bar spans exactly those workers. A pooled
+// Buffers runs the round on its persistent team. A one-shot Buffers
+// (the package-level engines) runs worker 0 on the calling goroutine
+// and the rest on goroutines that exit with the round, with a fresh
+// barrier, so a one-shot call leaves nothing running behind it.
+func (b *Buffers[T]) round(workers int, body func(w int, bar *par.Barrier)) {
+	if !b.oneShot {
+		b.ensureTeam(workers).Run(body)
+		return
+	}
+	bar := par.NewBarrier(workers)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			body(w, bar)
+		}(w)
+	}
+	body(0, bar)
+	wg.Wait()
+}
+
+// oneShotPools holds one Workspace of one-shot Buffers per element
+// type, keyed by any((*T)(nil)).
+var oneShotPools sync.Map
+
+// oneShot runs one pooled engine method for a package-level engine
+// call. The Buffers comes from the process-wide one-shot pool; after
+// the run its result vectors are handed to the caller (the next run
+// on that Buffers grows fresh ones) and its references to the
+// caller's inputs are cleared, so nothing the caller owns stays
+// reachable from the pool.
+func oneShot[T, R any](op Op[T], values []T, labels []int, m int, cfg Config,
+	run func(*Buffers[T], Op[T], []T, []int, int, Config) (R, error)) (R, error) {
+	key := any((*T)(nil))
+	p, ok := oneShotPools.Load(key)
+	if !ok {
+		ws := &Workspace[T]{}
+		ws.pool.New = func() any { return &Buffers[T]{oneShot: true} }
+		p, _ = oneShotPools.LoadOrStore(key, ws)
+	}
+	ws := p.(*Workspace[T])
+	b := ws.Acquire()
+	res, err := run(b, op, values, labels, m, cfg)
+	b.multi, b.red = nil, nil
+	if r := b.runner; r != nil {
+		r.reset(&b.arena, Op[T]{}, nil, nil, nil, 0, Config{})
+	}
+	if r := b.chunk; r != nil {
+		r.reset(Op[T]{}, nil, nil, nil, 0, 0, Config{})
+	}
+	ws.Release(b)
+	return res, err
 }
 
 // Serial is Serial drawing result storage from b.
@@ -136,233 +193,6 @@ func (b *Buffers[T]) SerialReduce(op Op[T], values []T, labels []int, m int) (ou
 			red[l] = op.Combine(red[l], v)
 		}
 	}
-	return red, nil
-}
-
-// Spinetree is Spinetree reusing b's arena and result storage.
-//
-//mp:hotpath
-func (b *Buffers[T]) Spinetree(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
-		return Result[T]{}, err
-	}
-	multi := b.growMulti(len(values))
-	red := b.growRed(m)
-	phase := PhaseSpinetree
-	defer recoverEnginePanic("spinetree", &phase, &err)
-	a.phaseSpinetree(labels)
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	phase = PhaseRowsums
-	a.phaseRowsums(op, values, cfg.FaultHook)
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	phase = PhaseSpinesums
-	a.phaseSpinesums(op, cfg.SpineTest, cfg.FaultHook)
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	phase = PhaseReduce
-	a.reductionsInto(op, cfg.FaultHook, red)
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	phase = PhaseMultisums
-	a.phaseMultisums(op, values, multi, cfg.FaultHook)
-	return Result[T]{Multi: multi, Reductions: red}, nil
-}
-
-// SpinetreeReduce is SpinetreeReduce reusing b's arena and storage.
-//
-//mp:hotpath
-func (b *Buffers[T]) SpinetreeReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
-		return nil, err
-	}
-	red := b.growRed(m)
-	phase := PhaseSpinetree
-	defer recoverEnginePanic("spinetree", &phase, &err)
-	a.phaseSpinetree(labels)
-	phase = PhaseRowsums
-	a.phaseRowsums(op, values, cfg.FaultHook)
-	phase = PhaseSpinesums
-	a.phaseSpinesums(op, cfg.SpineTest, cfg.FaultHook)
-	phase = PhaseReduce
-	a.reductionsInto(op, cfg.FaultHook, red)
-	return red, nil
-}
-
-// Parallel is Parallel reusing b's arena, result storage and worker
-// team. A failed run (panic, cancellation) may have poisoned the
-// team's barrier, so the team is rebuilt on the next call.
-//
-//mp:hotpath
-func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
-		return Result[T]{}, err
-	}
-	multi := b.growMulti(len(values))
-	red := b.growRed(m)
-	workers := parWorkers(cfg.Workers, a.grid.P)
-	if b.runner == nil {
-		b.runner = newPooledParRunner[T]()
-	}
-	r := b.runner
-	r.reset(a, op, values, labels, multi, workers, cfg)
-	team := b.ensureTeam(workers)
-	phase := PhaseSpinetree
-	defer recoverEnginePanic("parallel", &phase, &err)
-	team.Run(r.mainBody)
-	if err := r.failure(); err != nil {
-		b.dropTeam()
-		return Result[T]{}, err
-	}
-	phase = PhaseReduce
-	a.reductionsInto(op, r.hook, red)
-	phase = PhaseMultisums
-	team.Run(r.multiBody)
-	if err := r.failure(); err != nil {
-		b.dropTeam()
-		return Result[T]{}, err
-	}
-	return Result[T]{Multi: multi, Reductions: red}, nil
-}
-
-// ParallelReduce is ParallelReduce on pooled state.
-//
-//mp:hotpath
-func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
-		return nil, err
-	}
-	red := b.growRed(m)
-	workers := parWorkers(cfg.Workers, a.grid.P)
-	if b.runner == nil {
-		b.runner = newPooledParRunner[T]()
-	}
-	r := b.runner
-	r.reset(a, op, values, labels, nil, workers, cfg)
-	team := b.ensureTeam(workers)
-	phase := PhaseSpinetree
-	defer recoverEnginePanic("parallel", &phase, &err)
-	team.Run(r.mainBody)
-	if err := r.failure(); err != nil {
-		b.dropTeam()
-		return nil, err
-	}
-	phase = PhaseReduce
-	a.reductionsInto(op, r.hook, red)
-	return red, nil
-}
-
-// Chunked is Chunked reusing b's per-chunk buckets, result storage and
-// worker team. Chunk bodies never touch the team's inner barrier, so a
-// failed chunked run leaves the team healthy.
-//
-//mp:hotpath
-func (b *Buffers[T]) Chunked(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return Result[T]{}, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
-	multi := b.growMulti(n)
-	red := b.growRed(m)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-	if b.chunk == nil {
-		b.chunk = newChunkRunner[T]()
-	}
-	r := b.chunk
-	r.reset(op, values, labels, multi, m, workers, cfg)
-	team := b.ensureTeam(workers)
-	team.Run(r.localBody)
-	if err := r.g.first(); err != nil {
-		return Result[T]{}, err
-	}
-
-	phase = PhaseChunkMerge
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	r.merge(red)
-
-	phase = PhaseChunkApply
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	if workers > 1 {
-		team.Run(r.applyBody)
-		if err := r.g.first(); err != nil {
-			return Result[T]{}, err
-		}
-	}
-	return Result[T]{Multi: multi, Reductions: red}, nil
-}
-
-// ChunkedReduce is ChunkedReduce on pooled state.
-//
-//mp:hotpath
-func (b *Buffers[T]) ChunkedReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
-	if err := checkInputs(op, values, labels, m); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
-	red := b.growRed(m)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-	if b.chunk == nil {
-		b.chunk = newChunkRunner[T]()
-	}
-	r := b.chunk
-	r.reset(op, values, labels, nil, m, workers, cfg)
-	team := b.ensureTeam(workers)
-	team.Run(r.localBody)
-	if err := r.g.first(); err != nil {
-		return nil, err
-	}
-	phase = PhaseChunkMerge
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	r.merge(red)
 	return red, nil
 }
 
@@ -437,137 +267,4 @@ func SegmentedScanIn[T any](b *Buffers[T], op Op[T], values []T, segments []bool
 		return nil, nil, err
 	}
 	return res.Multi, res.Reductions, nil
-}
-
-// chunkRunner is the reusable state of the pooled Chunked engine: the
-// per-chunk buckets, first-touch bookkeeping and prebound worker
-// bodies. The bodies never use the team's inner barrier — chunk phases
-// synchronize only through the round gate — so a chunked failure never
-// poisons the team.
-type chunkRunner[T any] struct {
-	op      Op[T]
-	values  []T
-	labels  []int
-	multi   []T // nil in reduce-only runs
-	fast    FastOp
-	hook    FaultHook
-	ctx     context.Context
-	workers int
-	n       int
-	buckets [][]T
-	seen    [][]bool
-	touched [][]int
-	g       chunkGuard
-
-	localBody func(w int, bar *par.Barrier)
-	applyBody func(w int, bar *par.Barrier)
-}
-
-func newChunkRunner[T any]() *chunkRunner[T] {
-	r := &chunkRunner[T]{}
-	r.localBody = r.local
-	r.applyBody = r.apply
-	return r
-}
-
-func (r *chunkRunner[T]) reset(op Op[T], values []T, labels []int, multi []T, m, workers int, cfg Config) {
-	r.op, r.values, r.labels, r.multi = op, values, labels, multi
-	r.hook = cfg.FaultHook
-	r.fast = op.fastKind(cfg.FaultHook)
-	r.ctx = cfg.Ctx
-	r.workers = workers
-	r.n = len(values)
-	for len(r.buckets) < workers {
-		r.buckets = append(r.buckets, nil)
-		r.seen = append(r.seen, nil)
-		r.touched = append(r.touched, nil)
-	}
-	for w := 0; w < workers; w++ {
-		r.buckets[w] = grown(r.buckets[w], m)
-		r.seen[w] = grown(r.seen[w], m)
-	}
-	r.g.stop.Store(false)
-	r.g.mu.Lock()
-	r.g.err = nil
-	r.g.mu.Unlock()
-}
-
-// local runs one chunk's local serial multiprefix (Chunked pass 1+2).
-func (r *chunkRunner[T]) local(w int, _ *par.Barrier) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
-		}
-	}()
-	lo, hi := par.Range(r.n, r.workers, w)
-	buckets, seen := r.buckets[w], r.seen[w]
-	clear(seen)
-	order := r.touched[w][:0]
-	order = chunkLocalPass(r.fast, r.op, r.values, r.labels, r.multi, buckets, seen, order, lo, hi, r.hook, &r.g, r.ctx)
-	r.touched[w] = order
-}
-
-// merge is Chunked pass 3 on the caller's goroutine: the exclusive
-// scan across chunks per label, leaving each chunk's bucket slot
-// holding its offset and red holding the total reductions.
-func (r *chunkRunner[T]) merge(red []T) {
-	fillIdentity(red, r.op.Identity)
-	for w := 0; w < r.workers; w++ {
-		bw := r.buckets[w]
-		for _, l := range r.touched[w] {
-			offset := red[l]
-			if r.hook != nil {
-				r.hook.Combine(PhaseChunkMerge, l)
-			}
-			red[l] = r.op.Combine(red[l], bw[l])
-			bw[l] = offset
-		}
-	}
-}
-
-// apply is Chunked pass 4: add each chunk's offsets onto its local
-// prefix sums. Chunk 0's offsets are the identity, so worker 0 idles.
-func (r *chunkRunner[T]) apply(w int, _ *par.Barrier) {
-	if w == 0 {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.g.fail(newEnginePanic("chunked", PhaseChunkApply, w, rec))
-		}
-	}()
-	lo, hi := par.Range(r.n, r.workers, w)
-	offsets := r.buckets[w]
-	for seg := lo; seg < hi; seg += cancelStride {
-		if r.g.interrupted(r.ctx) {
-			return
-		}
-		end := seg + cancelStride
-		if end > hi {
-			end = hi
-		}
-		if tryChunkApply(r.fast, r.labels, offsets, r.multi, seg, end) {
-			continue
-		}
-		for i := seg; i < end; i++ {
-			if r.hook != nil {
-				r.hook.Combine(PhaseChunkApply, i)
-			}
-			r.multi[i] = r.op.Combine(offsets[r.labels[i]], r.multi[i])
-		}
-	}
-}
-
-// parWorkers resolves the worker count for the parallel engines: the
-// shared par.ClampWorkers normalization, capped by the grid width (no
-// point exceeding the widest pardo).
-func parWorkers(workers, gridP int) int {
-	workers = par.ClampWorkers(workers)
-	if workers > gridP {
-		workers = gridP
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }

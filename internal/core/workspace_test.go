@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -261,4 +263,113 @@ func TestPooledDerivedHelpers(t *testing.T) {
 			t.Fatalf("totals[%d]=%d, want %d", k, totals[k], wantTotals[k])
 		}
 	}
+}
+
+// TestOneShotResultsOwned pins that the package-level engines hand
+// their results to the caller even though they run on pooled Buffers:
+// two calls in a row return independent storage (writing into either
+// result leaves the other intact), and concurrent one-shot calls on
+// different inputs each match Serial on their own input.
+func TestOneShotResultsOwned(t *testing.T) {
+	const n, m = 5000, 37
+	cfg := Config{Workers: 4}
+	chunkedAuto := Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 64}}
+	type engine struct {
+		name   string
+		run    func(values []int64, labels []int) (Result[int64], error)
+		reduce func(values []int64, labels []int) ([]int64, error)
+	}
+	engines := []engine{
+		{"chunked",
+			func(v []int64, l []int) (Result[int64], error) { return Chunked(AddInt64, v, l, m, cfg) },
+			func(v []int64, l []int) ([]int64, error) { return ChunkedReduce(AddInt64, v, l, m, cfg) }},
+		{"parallel",
+			func(v []int64, l []int) (Result[int64], error) { return Parallel(AddInt64, v, l, m, cfg) },
+			func(v []int64, l []int) ([]int64, error) { return ParallelReduce(AddInt64, v, l, m, cfg) }},
+		{"spinetree",
+			func(v []int64, l []int) (Result[int64], error) { return Spinetree(AddInt64, v, l, m, cfg) },
+			func(v []int64, l []int) ([]int64, error) { return SpinetreeReduce(AddInt64, v, l, m, cfg) }},
+		{"auto-chunked",
+			func(v []int64, l []int) (Result[int64], error) { return Auto(AddInt64, v, l, m, chunkedAuto) },
+			func(v []int64, l []int) ([]int64, error) { return AutoReduce(AddInt64, v, l, m, chunkedAuto) }},
+		{"auto-serial",
+			func(v []int64, l []int) (Result[int64], error) { return Auto(AddInt64, v, l, m, cfg) },
+			func(v []int64, l []int) ([]int64, error) { return AutoReduce(AddInt64, v, l, m, cfg) }},
+	}
+	rng := rand.New(rand.NewSource(47))
+	values, labels := randInput(rng, n, m)
+	want := mustSerial(t, values, labels, m)
+	fill := func(s []int64, x int64) {
+		for i := range s {
+			s[i] = x
+		}
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			first, err := e.run(values, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := e.run(values, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(first.Multi, -7)
+			fill(first.Reductions, -7)
+			sameResult(t, "second after writing first", second, want)
+			fill(second.Multi, -9)
+			fill(second.Reductions, -9)
+			sameResult(t, "first after writing second", first, Result[int64]{
+				Multi: sentinel(n, -7), Reductions: sentinel(m, -7)})
+
+			red1, err := e.reduce(values, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red2, err := e.reduce(values, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(red1, -7)
+			sameResult(t, "reduce after writing first", Result[int64]{Reductions: red2}, Result[int64]{Reductions: want.Reductions})
+			fill(red2, -9)
+			sameResult(t, "first reduce after writing second", Result[int64]{Reductions: red1}, Result[int64]{Reductions: sentinel(m, -7)})
+
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				v, l := randInput(rand.New(rand.NewSource(int64(100+g))), n, m)
+				gw := mustSerial(t, v, l, m)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for it := 0; it < 4; it++ {
+						got, err := e.run(v, l)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						red, err := e.reduce(v, l)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !slices.Equal(got.Multi, gw.Multi) || !slices.Equal(got.Reductions, gw.Reductions) || !slices.Equal(red, gw.Reductions) {
+							t.Errorf("goroutine %d: concurrent one-shot result differs from Serial", g)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// sentinel returns n copies of x.
+func sentinel(n int, x int64) []int64 {
+	s := make([]int64, n)
+	for i := range s {
+		s[i] = x
+	}
+	return s
 }
